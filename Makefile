@@ -46,7 +46,7 @@ bench-smoke:
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkFig2CktSweep$$|BenchmarkTab3WithWithoutTDC$$|BenchmarkOptimizeSearch$$' -benchtime 1x -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGreedySchedule$$' -benchtime 1x -benchmem ./internal/sched ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkDiskLoadV1VsV2|BenchmarkCacheGetParallel' -benchmem ./internal/core ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkDiskLoad$$|BenchmarkCacheGetParallel' -benchmem ./internal/core ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkServeOptimizeWarm$$' -benchmem ./internal/serve ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_$$(date +%Y-%m-%d).json
 	@echo wrote BENCH_$$(date +%Y-%m-%d).json
@@ -73,31 +73,32 @@ bench-big-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamGiantSweep$$|BenchmarkFusedGiantTable$$' -benchtime 1x -short ./internal/core
 
 # kernel-equivalence asserts the word-parallel kernel and sweep-pruning
-# exactness contracts: both plane-building paths agree with each other
-# and with the real encoder, pruned tables are deeply equal to unpruned
-# ones on every d695/industrial core, steady-state tdcCost runs at 0
-# allocs/op on both paths, tables built through the streaming window
-# evaluator are deeply equal to resident builds at every window and
-# worker count (including the window-boundary fuzz seeds), and the fuzz
-# seed corpora for the word and codec kernels still pass.
+# exactness contracts: both plane-building strategies agree with each
+# other (forced through the one kernel preparation, including a
+# dense→sparse flip mid-pass) and with the real encoder, pruned band
+# winners equal an unpruned sweep's on every d695/industrial core,
+# steady-state tdcCost runs at 0 allocs/op on both strategies, the
+# evaluator primitives price identically at every window (including the
+# window-boundary fuzz seeds), negative windows are rejected, and the
+# fuzz seed corpora for the word and codec kernels still pass.
 kernel-equivalence:
 	$(GO) test -run 'TestKernelPathsAgree|TestKernelSteadyStateZeroAlloc|TestBuildTablePruningGoldenEquivalence|TestEvalTDCMatchesRealEncoder' -count=1 ./internal/core
-	$(GO) test -run 'TestStreamingTableEquivalence|TestStreamingEvaluatorEquivalence|TestEvalWindowValidation|TestStreamingWindowTelemetry|FuzzStreamingWindowEquivalence' -count=1 ./internal/core
+	$(GO) test -run 'TestStreamingEvaluatorEquivalence|TestEvalWindowValidation|TestStreamingWindowTelemetry|FuzzStreamingWindowEquivalence' -count=1 ./internal/core
 	$(GO) test -run 'FuzzWordKernels' -count=1 ./internal/bitvec
 	$(GO) test -run 'FuzzEncodeDecodeRoundTrip|FuzzDecodeStream' -count=1 ./internal/selenc
 
-# fused-equivalence asserts the fused single-pass sweep's exactness
-# contracts under the race detector: tables built through the fused
-# streaming path are bit-identical to per-point (DisableFusion) builds
-# on every d695 core plus the decay/compressible synthetics at windows
-# 1/64/∞ × workers 1/8 (including multi-batch schedules), the mid-pass
-# LB/UB pruning drops candidates without changing the table, every
-# fused and pruning counter is worker-count invariant, the steady-state
-# fused window kernel runs at 0 allocs/op, and the selenc append-form
-# ops kernel the evaluator delegates to agrees with the real encoder's
-# slice cost.
+# fused-equivalence asserts the exactness contracts of table pricing
+# under the race detector: every table of the golden matrix (each d695
+# and System1–4 core plus the decay/compressible synthetics, at windows
+# auto/1/7/64/whole set × workers 1/8 × fused batch sizes 64/3) encodes
+# to its checked-in digest, and fused builds are deeply equal to the
+# whole-set build of the same core; the mid-pass LB/UB pruning drops
+# candidates without changing the table, every fused and pruning
+# counter is worker-count invariant, the steady-state fused window
+# kernel runs at 0 allocs/op, and the selenc append-form ops kernel the
+# evaluator delegates to agrees with the real encoder's slice cost.
 fused-equivalence:
-	$(GO) test -race -count=1 -timeout 600s -run 'TestFusedTableEquivalence|TestFusedMidPassPruning|TestFusedCountersWorkerInvariance|TestBuildTableBandBoundaries' ./internal/core
+	$(GO) test -race -count=1 -timeout 600s -run 'TestStreamingTableEquivalence|TestFusedTableEquivalence|TestFusedMidPassPruning|TestFusedCountersWorkerInvariance|TestBuildTableBandBoundaries' ./internal/core
 	$(GO) test -count=1 -run 'TestFusedWindowKernelZeroAlloc|TestSliceOpsMaskAgreesWithCost' ./internal/core ./internal/selenc
 
 # robustness asserts the failure-model contracts under the race
@@ -113,13 +114,13 @@ robustness:
 # cachefmt asserts the cache-format and cache-tier contracts: the v2
 # container round-trips byte-exactly against the checked-in golden file
 # and rejects corruption (tablecodec golden/rejection/fuzz-seed tests),
-# gob v1 entries migrate transparently to v2 with bit-identical tables
-# on every d695/industrial core, both disk tiers honour their size
-# bounds, and the sharded cache keeps singleflight/LRU semantics under
-# the race detector.
+# v2 entries round-trip bit-identical tables on every d695/industrial
+# core, the disk store honours its size bound (stray flat files from
+# the pre-shard layout included), and the sharded cache keeps
+# singleflight/LRU semantics under the race detector.
 cachefmt:
 	$(GO) test -run 'TestGoldenV2|TestHeaderRejection|TestVerifyCatchesTruncation|TestRoundTrip|TestDecodeArbitraryPrefixNeverPanics|FuzzTableCodecRoundTrip' -count=1 ./internal/tablecodec
-	$(GO) test -run 'TestDiskCacheV1Migration|TestFormatV2MatchesV1OnBenchmarks|TestDiskCacheRoundTrip|TestDiskCacheBitFlipNeverPanics|TestDiskCacheSizeBound' -count=1 ./internal/core
+	$(GO) test -run 'TestFormatV2MatchesV1OnBenchmarks|TestDiskCacheRoundTrip|TestDiskCacheBitFlipNeverPanics|TestDiskCacheSizeBound|TestDiskCacheSizeBoundCountsFlatFiles' -count=1 ./internal/core
 	$(GO) test -race -count=1 -timeout 120s -run 'TestCacheShardedConcurrency|TestCacheShardSpread|TestCacheMemBound|TestCacheMemBoundEvictsLRU' ./internal/core
 
 # telemetry-overhead asserts the zero-overhead-when-disabled contract:

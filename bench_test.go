@@ -234,8 +234,8 @@ func BenchmarkOptimizeD695(b *testing.B) {
 // BenchmarkOptimizeSearch isolates the Section 3 architecture search —
 // the paper's CPU column — from table building: tables are prebuilt
 // into the shared cache outside the timed region, the engine is forced
-// sequential (so the duration matrix and the search-wide schedule memo
-// are measured on their own, not parallelism), and MergeSearch
+// sequential (so the duration matrix and the schedule evaluations are
+// measured on their own, not parallelism), and MergeSearch
 // exercises every search phase. The makespan metric pins the result:
 // search speedups must not move it.
 func BenchmarkOptimizeSearch(b *testing.B) {

@@ -43,7 +43,7 @@ import (
 func main() {
 	out := flag.String("o", "", "write output to this file instead of stdout")
 	workers := flag.Int("workers", 0, "evaluation-engine worker goroutines (0 = one per CPU, 1 = sequential; results are identical)")
-	evalWindow := flag.Int("eval-window", 0, "evaluator streaming window in cubes (0 = automatic by core size, -1 = stream the whole set as one window; results are identical)")
+	evalWindow := flag.Int("eval-window", 0, "evaluator streaming window in cubes (0 = automatic by core size; results are identical)")
 	tableCache := flag.String("table-cache", "", "directory for the persistent lookup-table cache (reused across runs)")
 	tableCacheMem := flag.String("table-cache-mem", "", "in-memory table cache budget, e.g. 64M or 2GiB (empty = unbounded)")
 	tableCacheSize := flag.String("table-cache-size", "", "on-disk table cache budget under -table-cache, e.g. 512M (empty = unbounded)")

@@ -39,7 +39,7 @@ func main() {
 	maxTAMs := flag.Int("max-tams", 0, "cap on the number of TAM buses (0 = number of cores)")
 	bandSamples := flag.Int("band-samples", 0, "m values sampled per codeword-width band (0 = default 48, -1 = exhaustive)")
 	workers := flag.Int("workers", 0, "evaluation-engine worker goroutines (0 = one per CPU, 1 = sequential; results are identical)")
-	evalWindow := flag.Int("eval-window", 0, "evaluator streaming window in cubes (0 = automatic by core size, -1 = stream the whole set as one window; results are identical)")
+	evalWindow := flag.Int("eval-window", 0, "evaluator streaming window in cubes (0 = automatic by core size; results are identical)")
 	ateDepth := flag.Int64("ate-depth", 0, "ATE vector memory depth per channel in bits (0 = unlimited)")
 	ateFreq := flag.Float64("ate-mhz", 50, "ATE frequency in MHz for wall-clock reporting")
 	gantt := flag.Bool("gantt", false, "draw the schedule as an ASCII Gantt chart")

@@ -1,9 +1,9 @@
 package core
 
 // Benchmarks for cache tier 2.0, archived by `make bench-json`:
-// cold-load time and entry size of the v2 bitpacked container against
-// the gob v1 baseline, and memory-hit throughput of the sharded cache
-// against a single-lock baseline under parallel load.
+// cold-load time and entry size of the v2 bitpacked container, and
+// memory-hit throughput of the sharded cache against a single-lock
+// baseline under parallel load.
 
 import (
 	"context"
@@ -14,11 +14,10 @@ import (
 	"soctap/internal/soc"
 )
 
-// BenchmarkDiskLoadV1VsV2 measures one full cold load — file read,
-// validation, decode, core re-attachment — per format, and reports the
-// on-disk entry size as entry-bytes. The acceptance bar for the v2
-// format is ≥3x faster and ≥2x smaller than gob.
-func BenchmarkDiskLoadV1VsV2(b *testing.B) {
+// BenchmarkDiskLoad measures one full cold load of a v2 entry — file
+// read, validation, decode, core re-attachment — and reports the
+// on-disk entry size as entry-bytes.
+func BenchmarkDiskLoad(b *testing.B) {
 	c := compressibleCore(77)
 	opts := TableOptions{MaxWidth: 64}.normalized()
 	tab, err := BuildTable(c, opts)
@@ -26,41 +25,22 @@ func BenchmarkDiskLoadV1VsV2(b *testing.B) {
 		b.Fatal(err)
 	}
 	key := contentKey(c, opts)
-
-	v1dir, v2dir := b.TempDir(), b.TempDir()
-	if err := storeDiskTableV1(v1dir, key, tab); err != nil {
+	dir := b.TempDir()
+	if err := storeDiskTable(dir, key, tab); err != nil {
 		b.Fatal(err)
 	}
-	if err := storeDiskTable(v2dir, key, tab); err != nil {
+	info, err := os.Stat(diskPath(dir, key))
+	if err != nil {
 		b.Fatal(err)
 	}
-	size := func(path string) int64 {
-		info, err := os.Stat(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return info.Size()
-	}
-	v1size := size(legacyDiskPath(v1dir, key))
-	v2size := size(diskPath(v2dir, key))
-
-	load := func(b *testing.B, dir string) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			t, status, reason, _ := loadDiskTable(dir, key, c, opts)
-			if status != diskHit || t == nil {
-				b.Fatalf("load status %v: %v", status, reason)
-			}
+	b.ReportMetric(float64(info.Size()), "entry-bytes")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t, status, reason := loadDiskTable(dir, key, c, opts)
+		if status != diskHit || t == nil {
+			b.Fatalf("load status %v: %v", status, reason)
 		}
 	}
-	b.Run("v1-gob", func(b *testing.B) {
-		b.ReportMetric(float64(v1size), "entry-bytes")
-		load(b, v1dir)
-	})
-	b.Run("v2-bitpack", func(b *testing.B) {
-		b.ReportMetric(float64(v2size), "entry-bytes")
-		load(b, v2dir)
-	})
 }
 
 // singleLockCache is the pre-sharding design — one mutex in front of

@@ -1,104 +1,28 @@
 package core
 
-// Tests for cache tier 2.0: the v1→v2 disk-format migration, the
-// bounded disk store, the sharded in-memory LRU, and format-version
-// equivalence on the paper's benchmark cores.
+// Tests for cache tier 2.0: the bounded disk store, the sharded
+// in-memory LRU, and the v2 format on the paper's benchmark cores.
 
 import (
 	"context"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"soctap/internal/soc"
-	"soctap/internal/tablecodec"
 	"soctap/internal/telemetry"
 )
 
-// TestDiskCacheV1Migration: a gob v1 entry at the legacy flat path is
-// read once, served as a hit (no rebuild), and transparently rewritten
-// as a v2 container at the sharded path — after which the flat file is
-// gone and subsequent reads hit the v2 entry with no further migration.
-func TestDiskCacheV1Migration(t *testing.T) {
-	dir := t.TempDir()
-	c := compressibleCore(21)
-	opts := TableOptions{MaxWidth: 10}
-	key := contentKey(c, opts.normalized())
-
-	built, err := BuildTable(c, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := storeDiskTableV1(dir, key, built); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(legacyDiskPath(dir, key)); err != nil {
-		t.Fatalf("v1 fixture not at the flat path: %v", err)
-	}
-
-	var cold Cache
-	cold.SetDir(dir)
-	var builds atomic.Int64
-	cold.buildHook = func(*soc.Core, TableOptions) { builds.Add(1) }
-	sink := telemetry.New()
-	loaded, err := cold.get(context.Background(), c, opts, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := builds.Load(); n != 0 {
-		t.Errorf("%d builds on a v1 entry, want 0 (migration must not rebuild)", n)
-	}
-	cn := sink.Snapshot().Counters
-	if cn["diskcache.hits"] != 1 || cn["diskcache.migrated"] != 1 {
-		t.Errorf("migration counters: %v, want one hit and one migration", cn)
-	}
-	a, b := *built, *loaded
-	a.Core, b.Core = nil, nil
-	if !reflect.DeepEqual(a, b) {
-		t.Error("v1-loaded table differs from the built table")
-	}
-
-	// The flat original is gone; the sharded replacement is a v2
-	// container.
-	if _, err := os.Stat(legacyDiskPath(dir, key)); !os.IsNotExist(err) {
-		t.Errorf("legacy flat entry still present after migration (err=%v)", err)
-	}
-	data, err := os.ReadFile(diskPath(dir, key))
-	if err != nil {
-		t.Fatalf("migrated entry missing from the sharded path: %v", err)
-	}
-	if !tablecodec.HasMagic(data) {
-		t.Error("migrated entry is not a v2 container")
-	}
-	if _, err := tablecodec.Verify(data); err != nil {
-		t.Errorf("migrated entry fails verification: %v", err)
-	}
-
-	// Second process generation: a plain v2 hit, no migration.
-	var warm Cache
-	warm.SetDir(dir)
-	again := telemetry.New()
-	reloaded, err := warm.get(context.Background(), compressibleCore(21), opts, again)
-	if err != nil {
-		t.Fatal(err)
-	}
-	an := again.Snapshot().Counters
-	if an["diskcache.hits"] != 1 || an["diskcache.migrated"] != 0 {
-		t.Errorf("post-migration counters: %v, want a clean hit", an)
-	}
-	a, b = *built, *reloaded
-	a.Core, b.Core = nil, nil
-	if !reflect.DeepEqual(a, b) {
-		t.Error("v2-loaded table differs from the built table")
-	}
-}
-
-// TestFormatV2MatchesV1OnBenchmarks is the acceptance gate for format
-// equivalence: on every d695 core and a synthetic industrial core, the
-// table loaded from a v2 container and the table loaded from a gob v1
-// entry are both DeepEqual to the freshly built one.
+// TestFormatV2MatchesV1OnBenchmarks is the acceptance gate for the
+// table format on the paper's benchmark cores: on every d695 core and a
+// synthetic industrial core, the table decoded from its v2 encoding and
+// the table loaded back through the disk store are both DeepEqual to
+// the freshly built one. (The name predates the removal of the gob v1
+// format, whose tables the v2 ones were required to match.)
 func TestFormatV2MatchesV1OnBenchmarks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping full-benchmark format sweep")
@@ -114,30 +38,97 @@ func TestFormatV2MatchesV1OnBenchmarks(t *testing.T) {
 			}
 			key := contentKey(c, opts.normalized())
 
-			v2, err := decodeTableV2(encodeTableV2(key, built), key, c, opts.normalized())
+			decoded, err := decodeTableV2(encodeTableV2(key, built), key, c, opts.normalized())
 			if err != nil {
 				t.Fatalf("v2 round trip: %v", err)
 			}
 
 			dir := t.TempDir()
-			if err := storeDiskTableV1(dir, key, built); err != nil {
+			if err := storeDiskTable(dir, key, built); err != nil {
 				t.Fatal(err)
 			}
-			v1, status, reason, rewrite := loadDiskTable(dir, key, c, opts.normalized())
-			if status != diskHit || !rewrite {
-				t.Fatalf("v1 load: status %v rewrite %v (%v)", status, rewrite, reason)
+			loaded, status, reason := loadDiskTable(dir, key, c, opts.normalized())
+			if status != diskHit {
+				t.Fatalf("disk load: status %v (%v)", status, reason)
 			}
 
 			want := *built
 			want.Core = nil
-			for name, got := range map[string]*Table{"v2": v2, "v1": v1} {
+			for name, got := range map[string]*Table{"decoded": decoded, "loaded": loaded} {
 				g := *got
 				g.Core = nil
 				if !reflect.DeepEqual(want, g) {
-					t.Errorf("%s-loaded table differs from the built table", name)
+					t.Errorf("%s table differs from the built table", name)
 				}
 			}
 		})
+	}
+}
+
+// TestDiskCacheSizeBoundCountsFlatFiles: flat <dir>/<key>.table files
+// left by revisions that predate the sharded layout are never read, but
+// the size budget still counts them and evicts them oldest-first — also
+// when one shares its key with a sharded entry written since — so an
+// upgraded directory obeys -table-cache-size.
+func TestDiskCacheSizeBoundCountsFlatFiles(t *testing.T) {
+	dir := t.TempDir()
+	opts := TableOptions{MaxWidth: 8}
+	probe := compressibleCore(120)
+	built, err := BuildTable(probe, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entrySize := int64(len(encodeTableV2(contentKey(probe, opts.normalized()), built)))
+
+	// Two stray flat files, stamped in the past: one for the probe's own
+	// key (the sharded rebuild below must not hide it from the index)
+	// and one for a key no process will ask for again.
+	old := time.Now().Add(-time.Hour)
+	stray := []string{
+		filepath.Join(dir, contentKey(probe, opts.normalized())+".table"),
+		filepath.Join(dir, "ffff"+contentKey(probe, opts.normalized())[4:]+".table"),
+	}
+	for _, path := range stray {
+		if err := os.WriteFile(path, make([]byte, entrySize), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(path, old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	budget := 2*entrySize + entrySize/2
+	var cache Cache
+	cache.SetDir(dir)
+	cache.SetDiskLimit(budget)
+	sink := telemetry.New()
+	for _, c := range []*soc.Core{probe, compressibleCore(121)} {
+		if _, err := cache.get(context.Background(), c, opts, sink); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cn := sink.Snapshot().Counters
+	if cn["diskcache.corrupt_rebuilds"] != 0 || cn["diskcache.misses"] != 2 {
+		t.Errorf("flat files were read: %v, want two clean misses", cn)
+	}
+	var total int64
+	for _, f := range cacheDirEntries(t, dir) {
+		info, err := os.Stat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += info.Size()
+	}
+	if total > budget {
+		t.Errorf("store holds %d bytes with flat files present, budget %d", total, budget)
+	}
+	for _, path := range stray {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("stale flat file %s survived eviction (err=%v)", filepath.Base(path), err)
+		}
+	}
+	if cn["diskcache.evictions"] != 2 {
+		t.Errorf("diskcache.evictions = %d, want the 2 flat files", cn["diskcache.evictions"])
 	}
 }
 

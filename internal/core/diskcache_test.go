@@ -331,14 +331,14 @@ func TestDiskStoreTouchErrorCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds.mu.Lock()
-	before := ds.entries[keyA].atime
+	before := ds.entries[diskPath(dir, keyA)].atime
 	ds.mu.Unlock()
 	ds.touch(keyA, sink)
 	if n := sink.Snapshot().Counters["diskcache.touch_errors"]; n != 1 {
 		t.Fatalf("diskcache.touch_errors = %d after a failed stamp, want 1", n)
 	}
 	ds.mu.Lock()
-	after := ds.entries[keyA].atime
+	after := ds.entries[diskPath(dir, keyA)].atime
 	ds.mu.Unlock()
 	if !after.After(before) {
 		t.Fatal("index atime not advanced when the disk stamp failed")
@@ -350,8 +350,8 @@ func TestDiskStoreTouchErrorCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds.mu.Lock()
-	_, hasA := ds.entries[keyA]
-	_, hasB := ds.entries[keyB]
+	_, hasA := ds.entries[diskPath(dir, keyA)]
+	_, hasB := ds.entries[diskPath(dir, keyB)]
 	ds.mu.Unlock()
 	if !hasA || hasB {
 		t.Fatalf("eviction ignored the in-memory atime: A present=%v B present=%v, want A kept, B evicted", hasA, hasB)

@@ -56,26 +56,15 @@ func (c Config) better(o Config) bool {
 	return c.Volume < o.Volume
 }
 
-// Residency-mode constants of the evaluator. An evaluator either holds
-// the whole test set resident (the historical path: cubes materialized
-// once, flat planes cached across the sweep) or streams it from a
-// cube.Source in bounded windows, pricing each window and recycling the
-// buffers — O(window) peak memory instead of O(test set), with results
-// bit-identical to the resident path (DeepEqual-gated in the tests).
-const (
-	// DefaultEvalWindow is the window size (in cubes) the streaming path
-	// uses when a caller asks for streaming without choosing one.
-	DefaultEvalWindow = 64
-	// EvalWindowAll requests the streaming machinery with a single
-	// whole-set window — the ∞ point of the window axis, used by the
-	// equivalence gates.
-	EvalWindowAll = -1
-	// autoStreamRawBits is the auto-mode threshold: a core whose raw
-	// stimulus image (StimulusBits × Patterns) reaches this many bits is
-	// streamed with DefaultEvalWindow; smaller cores stay resident so the
-	// benchmark-class workloads keep the cached-plane kernel wins.
-	autoStreamRawBits = int64(1) << 31
-)
+// DefaultEvalWindow is the window size (in cubes) of the automatic
+// residency choice for cores at or above autoStreamRawBits.
+const DefaultEvalWindow = 64
+
+// autoStreamRawBits is the automatic residency threshold: a core whose
+// raw stimulus image (StimulusBits × Patterns) reaches this many bits is
+// streamed in DefaultEvalWindow windows; smaller cores are priced from
+// one whole-set window, which stays loaded for the whole (w, m) sweep.
+const autoStreamRawBits = int64(1) << 31
 
 // evalWindow is the per-window state shared by every consumer of one
 // loaded cube window: the flattened care refs (cube.Window), the
@@ -90,39 +79,36 @@ type evalWindow struct {
 	count int // cubes in the loaded window
 
 	// dense selects the plane-building strategy for this window's cubes
-	// (kernel.go): resident evaluators fix it once from the whole set's
-	// care density, streaming ones re-measure per window.
+	// (kernel.go), re-measured from each loaded window's care density.
 	dense bool
 
 	// Dense path: per-cube flat planes in flat stimulus order. They
 	// depend only on the window's cubes — not on m — so every evaluation
-	// point sharing the window shares them. Resident mode builds them
-	// once for the whole set (flatBuilt); streaming mode rebuilds per
-	// window into recycled buffers.
+	// point sharing the window shares them; they are rebuilt per load
+	// into recycled buffers.
 	flatWords int
-	flatBuilt bool
 	flatCare  []uint64 // [cube][flatWords]
 	flatValue []uint64
 }
 
 // Evaluator evaluates test configurations of one core. It is the hot
 // kernel of the (w, m) exploration: the core's test cubes are flattened
-// into a contiguous care-bit array (the whole set when resident, one
-// window at a time when streaming), the most recent wrapper design (and
-// its stimulus map) is kept so consecutive evaluations at the same m
-// share it, and the word-kernel plane scratch (kernel.go) is reused
-// across the whole sweep. An Evaluator is not safe for concurrent use;
-// parallel sweeps give each worker its own (see lookup.go) or a mirror
-// sharing a producer's loaded window (see fused.go).
+// one window at a time into a contiguous care-bit array, the most recent
+// wrapper design (and its stimulus map) is kept so consecutive
+// evaluations at the same m share it, and the word-kernel plane scratch
+// (kernel.go) is reused across the whole sweep. When one window covers
+// the whole test set — the resident case — it is loaded on the first
+// pass and kept for every later one. An Evaluator is not safe for
+// concurrent use; parallel sweeps give each worker its own (see
+// lookup.go) or a mirror sharing a producer's loaded window (see
+// fused.go).
 type Evaluator struct {
 	core *soc.Core
-	ts   *cube.Set   // resident mode: the materialized set (nil when streaming)
-	src  cube.Source // streaming mode: the replayable cube stream (nil when resident)
+	src  cube.Source // the replayable cube stream (nil on a mirror)
 
-	patterns int  // total cubes per evaluation pass
-	numBits  int  // stimulus bits per cube
-	window   int  // cubes per streamed window; 0 in resident mode
-	streamed bool // streaming-mode kernel layout (src != nil, or a mirror of such)
+	patterns int // total cubes per evaluation pass
+	numBits  int // stimulus bits per cube
+	window   int // cubes per window; == patterns for the whole-set window
 
 	// win is the loaded cube window the kernels price against: &ownWin
 	// for a self-loading evaluator, the producer's window for a mirror.
@@ -140,15 +126,15 @@ type Evaluator struct {
 
 	// Kernel-invocation counters; nil (a no-op) unless a telemetry sink
 	// is attached. Counts are deterministic: one per evaluated config
-	// (and, for the window counters, one per window load).
+	// (and, for the window counters, one per window per pass).
 	tdcEvals    *telemetry.Counter
 	noTDCEvals  *telemetry.Counter
 	windowLoads *telemetry.Counter
 	windowCubes *telemetry.Counter
 	// windowHist distributes the wall-clock cost of streamed window
-	// loads (source replay + plane build). Resident passes load nothing,
-	// so they record nothing; the clock is only read when a sink is
-	// attached.
+	// loads (source replay + plane build). A kept whole-set window loads
+	// once per evaluator — a worker-count artifact — so it is not timed;
+	// the clock is only read when a sink is attached.
 	windowHist *telemetry.Histogram
 	// peakHeap is the heap high-water gauge, sampled at window
 	// boundaries every heapSampleStride loads (ReadMemStats is
@@ -176,7 +162,9 @@ func (e *Evaluator) attachTelemetry(tel *telemetry.Sink) {
 	e.noTDCEvals = tel.Counter("eval.notdc_evals")
 	e.windowLoads = tel.Counter("eval.window_loads")
 	e.windowCubes = tel.Counter("eval.window_cubes")
-	e.windowHist = tel.Histogram("eval.window_load_seconds")
+	if e.window < e.patterns {
+		e.windowHist = tel.Histogram("eval.window_load_seconds")
+	}
 	e.peakHeap = tel.Gauge("eval.peak_heap_bytes")
 }
 
@@ -198,38 +186,20 @@ func (e *Evaluator) checkpoint() error {
 	return e.ctx.Err()
 }
 
-// NewEvaluator prepares an evaluator for the core in automatic
-// residency mode: cores whose raw stimulus image stays under the
-// streaming threshold are materialized (generating and caching the test
-// set on the core), larger ones stream with the default window. Use
-// NewEvaluatorWindow to choose explicitly.
+// NewEvaluator prepares an evaluator for the core with the automatic
+// residency choice (see NewEvaluatorWindow).
 func NewEvaluator(c *soc.Core) (*Evaluator, error) {
 	return NewEvaluatorWindow(c, 0)
 }
 
-// NewEvaluatorWindow prepares an evaluator with an explicit residency
-// choice. window > 0 streams the test set in windows of that many
-// cubes; EvalWindowAll streams the whole set as one window; 0 picks
-// automatically (resident below autoStreamRawBits, streaming with
-// DefaultEvalWindow at or above it). Other negative values are
-// rejected. Streamed and resident evaluators price identically — the
-// choice moves peak memory, never results.
+// NewEvaluatorWindow prepares an evaluator pricing the core's test set
+// in windows of the given number of cubes (see evalSource for how the
+// window resolves). Every window prices identically — the choice moves
+// peak memory, never results.
 func NewEvaluatorWindow(c *soc.Core, window int) (*Evaluator, error) {
-	if window < 0 && window != EvalWindowAll {
-		return nil, fmt.Errorf("core: EvalWindow %d (want > 0, 0 for auto, or EvalWindowAll)", window)
-	}
-	if window == 0 && c.StimulusVolumeBits() >= autoStreamRawBits {
-		window = DefaultEvalWindow
-	}
-	if window == 0 {
-		return newResidentEvaluator(c)
-	}
-	src, err := c.TestSource()
+	src, window, err := evalSource(c, window)
 	if err != nil {
 		return nil, err
-	}
-	if window == EvalWindowAll || window > src.Len() {
-		window = src.Len()
 	}
 	e := &Evaluator{
 		core:     c,
@@ -237,84 +207,75 @@ func NewEvaluatorWindow(c *soc.Core, window int) (*Evaluator, error) {
 		patterns: src.Len(),
 		numBits:  src.NumBits(),
 		window:   window,
-		streamed: true,
 	}
 	e.win = &e.ownWin
 	e.ownWin.Off = make([]int, 0, window+1)
 	return e, nil
 }
 
+// evalSource resolves an EvalWindow setting for core c to the cube
+// source and window size the evaluator prices from. Negative windows
+// are rejected; 0 picks automatically (DefaultEvalWindow at or above
+// autoStreamRawBits, else the whole set); windows at or above the
+// pattern count clamp to one whole-set window. A whole-set window reads
+// the core's cached test set (generating it on first use), so every
+// evaluator of the core shares one materialized set; a shorter window
+// streams a fresh generator pass, holding O(window) cubes.
+func evalSource(c *soc.Core, window int) (cube.Source, int, error) {
+	if window < 0 {
+		return nil, 0, fmt.Errorf("core: EvalWindow %d (want > 0, or 0 for automatic)", window)
+	}
+	if window == 0 && c.StimulusVolumeBits() >= autoStreamRawBits {
+		window = DefaultEvalWindow
+	}
+	if window == 0 || window >= c.Patterns {
+		ts, err := c.TestSet()
+		if err != nil {
+			return nil, 0, err
+		}
+		return cube.NewSetSource(ts), ts.Len(), nil
+	}
+	src, err := c.TestSource()
+	if err != nil {
+		return nil, 0, err
+	}
+	return src, min(window, src.Len()), nil
+}
+
 // mirror returns a co-evaluator sharing this evaluator's loaded window:
-// same core geometry and kernel layout, its own kernel scratch, no
-// source of its own. The fused sweep's workers price a producer's
-// windows through mirrors, so the cube stream is traversed exactly once
-// per pass no matter how many points (or workers) consume it. A mirror
-// must only be used between the producer's window loads.
+// same core geometry, its own kernel scratch, no source of its own. The
+// fused sweep's workers price a producer's windows through mirrors, so
+// the cube stream is traversed exactly once per pass no matter how many
+// points (or workers) consume it. A mirror must only be used between
+// the producer's window loads.
 func (e *Evaluator) mirror() *Evaluator {
 	return &Evaluator{
 		core:     e.core,
 		patterns: e.patterns,
 		numBits:  e.numBits,
 		window:   e.window,
-		streamed: e.streamed,
 		win:      e.win,
 	}
 }
 
-// newResidentEvaluator materializes the core's test set (cached on the
-// core) and flattens it into the evaluator's whole-set care array — the
-// historical construction.
-func newResidentEvaluator(c *soc.Core) (*Evaluator, error) {
-	ts, err := c.TestSet()
-	if err != nil {
-		return nil, err
-	}
-	e := &Evaluator{
-		core:     c,
-		ts:       ts,
-		patterns: ts.Len(),
-		numBits:  c.StimulusBits(),
-	}
-	e.win = &e.ownWin
-	e.ownWin.Refs = make([]uint64, 0, ts.TotalCareBits())
-	e.ownWin.Off = make([]int, 0, ts.Len()+1)
-	for _, cb := range ts.Cubes {
-		e.ownWin.AppendCube(cb)
-	}
-	e.ownWin.Seal()
-	e.ownWin.start, e.ownWin.count = 0, ts.Len()
-	// Pick the kernel's plane-building strategy from the measured care
-	// density of the test set (kernel.go). The streaming path defers
-	// this to each window's measured density instead.
-	if bits := int64(c.StimulusBits()) * int64(ts.Len()); bits > 0 {
-		density := float64(ts.TotalCareBits()) / float64(bits)
-		e.ownWin.dense = density >= denseDensityThreshold
-	}
-	return e, nil
-}
-
 // beginPass rewinds the evaluator to the first cube of an evaluation
-// pass; nextWindow then yields the pass's windows in order. The
-// resident pass is a single preloaded whole-set window, so the pair
-// compiles down to today's flat loop; the streaming pass replays the
-// source and reloads windows into the recycled care array.
+// pass; nextWindow then yields the pass's windows in order.
 func (e *Evaluator) beginPass() {
 	e.passPos = 0
-	if e.src != nil {
-		e.src.Reset()
-	}
+	e.src.Reset()
 }
 
 // nextWindow advances to the next cube window of the current pass,
 // returning false when the pass is exhausted. After a true return,
-// cubes [winStart, winStart+winCount) are loaded and patternOps prices
-// them by window-local index.
+// cubes [win.start, win.start+win.count) are loaded and patternOps
+// prices them by window-local index. A whole-set window is loaded on
+// the first pass and kept: later passes reuse it (and its flat planes)
+// without replaying the source.
 func (e *Evaluator) nextWindow() bool {
 	if e.passPos >= e.patterns {
 		return false
 	}
-	if e.src == nil {
-		e.win.start, e.win.count = 0, e.patterns
+	if e.win.count == e.patterns {
 		e.passPos = e.patterns
 		e.noteWindow(e.patterns)
 		return true

@@ -174,11 +174,36 @@ func TestEvalTDCLargeCubeMatchesRealEncoder(t *testing.T) {
 	}
 }
 
+// forceKernel loads an evaluator's whole-set window and pins the
+// plane-building strategy the kernels use for it (building the dense
+// path's flat planes when needed). The window stays loaded, so every
+// later pass prices through the forced strategy.
+func forceKernel(t *testing.T, c *soc.Core, dense bool) *Evaluator {
+	t.Helper()
+	ev, err := NewEvaluator(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev.beginPass()
+	if !ev.nextWindow() || ev.win.count != ev.patterns {
+		t.Fatalf("%s: expected one whole-set window", c.Name)
+	}
+	ev.win.dense = dense
+	if dense {
+		ev.win.buildFlatPlanes(ev.numBits)
+	}
+	return ev
+}
+
 // TestKernelPathsAgree forces both plane-building strategies of the
 // word kernel — dense (flat planes + transpose) and sparse (scatter
-// over dirty rows) — onto the same cores and requires identical costs
-// from each, for both group-copy settings. The density heuristic may
-// pick either path; correctness must never depend on the choice.
+// over dirty rows) — through the single kernel preparation onto the
+// same cores and requires identical costs from each, for both
+// group-copy settings. A third evaluator flips from dense to sparse in
+// the middle of a pass over its whole-set window, exercising the
+// slice-plane re-zeroing handoff between the kernels. The density
+// heuristic may pick either path; correctness must never depend on the
+// choice.
 func TestKernelPathsAgree(t *testing.T) {
 	cores := []*soc.Core{
 		smallCore(7),
@@ -196,11 +221,7 @@ func TestKernelPathsAgree(t *testing.T) {
 			}
 			var results [2][2]Config
 			for pi, dense := range []bool{false, true} {
-				ev, err := NewEvaluator(c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ev.win.dense = dense
+				ev := forceKernel(t, c, dense)
 				for gi, gc := range []bool{true, false} {
 					cfg, err := ev.TDC(m, gc)
 					if err != nil {
@@ -211,6 +232,24 @@ func TestKernelPathsAgree(t *testing.T) {
 			}
 			if results[0] != results[1] {
 				t.Errorf("%s m=%d: sparse %+v != dense %+v", c.Name, m, results[0], results[1])
+			}
+
+			sparse, flip := forceKernel(t, c, false), forceKernel(t, c, true)
+			d, err := flip.Design(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sparse.kernelPrepare(d)
+			flip.kernelPrepare(d)
+			k := int64(selenc.PayloadBits(m))
+			for _, gc := range []bool{true, false} {
+				for j := 0; j < flip.win.count; j++ {
+					flip.win.dense = j < flip.win.count/2
+					if got, want := flip.patternOps(j, k, gc), sparse.patternOps(j, k, gc); got != want {
+						t.Errorf("%s m=%d gc=%v cube %d (dense=%v): flipped pass %d ops, sparse %d",
+							c.Name, m, gc, j, flip.win.dense, got, want)
+					}
+				}
 			}
 		}
 	}
@@ -223,11 +262,7 @@ func TestKernelPathsAgree(t *testing.T) {
 func TestKernelSteadyStateZeroAlloc(t *testing.T) {
 	c := smallCore(77)
 	for _, dense := range []bool{false, true} {
-		ev, err := NewEvaluator(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev.win.dense = dense
+		ev := forceKernel(t, c, dense)
 		d, err := ev.Design(9)
 		if err != nil {
 			t.Fatal(err)

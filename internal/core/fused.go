@@ -1,20 +1,21 @@
-// Fused single-pass (w, m) sweep: the streaming build of a lookup
-// table prices every evaluation point of a batch against each loaded
-// cube window before the next window loads, instead of running one
-// full pass over the test set per point. One producer evaluator
-// streams the cube source once per batch; each window is flattened
-// (and, on the dense path, scattered into flat planes) exactly once
-// and shared read-only with a crew of mirror evaluators that carry the
-// per-point partial state forward. The per-pass evaluator cursor of
-// tdcCost is replaced by per-point accumulators (codeword totals and
-// the overlapped-shift time sum), and the band sweep's incumbent
-// pruning becomes mid-pass: a point whose running lower bound is
-// already strictly lex-worse than the best upper bound among its
-// band's peers (or the band incumbent from earlier batches) drops out
-// at a window boundary. Both pruning rules are exact, so fused tables
-// are DeepEqual-identical to unfused ones — the fused-equivalence gate
-// of `make check` — while `eval.window_loads` falls from
-// O(points × windows) to O(batches × windows).
+// Fused single-pass (w, m) sweep: a table build whose window is shorter
+// than the test set prices every evaluation point of a batch against
+// each loaded cube window before the next window loads, instead of
+// running one full pass over the test set per point. One producer
+// evaluator streams the cube source once per batch; each window is
+// flattened (and, on the dense path, scattered into flat planes)
+// exactly once and shared read-only with a crew of mirror evaluators
+// that carry the per-point partial state forward. The per-pass
+// evaluator cursor of tdcCost is replaced by per-point accumulators
+// (codeword totals and the overlapped-shift time sum), and the band
+// sweep's incumbent pruning becomes mid-pass: a point whose running
+// lower bound is already strictly lex-worse than the best upper bound
+// among its band's peers (or the band incumbent from earlier batches)
+// drops out at a window boundary. Both pruning rules are exact, so
+// fused tables are DeepEqual-identical to the plain band sweep's over
+// a whole-set window (and to their checked-in golden digests — the
+// fused-equivalence gate of `make check`), while `eval.window_loads`
+// falls from O(points × windows) to O(batches × windows).
 package core
 
 import (
@@ -131,7 +132,7 @@ func sweepBandsFused(ctx context.Context, c *soc.Core, opts TableOptions, bands 
 		batch = batch[:0]
 		for _, r := range queue[start:end] {
 			b := &bands[r.band]
-			if b.best.Feasible && !opts.DisablePruning {
+			if b.best.Feasible {
 				if bt, bv := coreBound(producer, r.m, b.w); boundWorse(bt, bv, b.best) {
 					pc.pruned.Inc()
 					pc.corePruned.Inc()
@@ -142,7 +143,7 @@ func sweepBandsFused(ctx context.Context, c *soc.Core, opts TableOptions, bands 
 			if err != nil {
 				return err
 			}
-			if b.best.Feasible && !opts.DisablePruning {
+			if b.best.Feasible {
 				if bt, bv := designBound(producer, d, b.w); boundWorse(bt, bv, b.best) {
 					pc.pruned.Inc()
 					pc.corePruned.Inc()
@@ -217,9 +218,7 @@ func runFusedPass(ctx context.Context, producer *Evaluator, opts TableOptions, b
 		// independent accumulators, so the drop decisions — and with
 		// them the prune counters and the window-load count — are
 		// identical for every worker count.
-		if !opts.DisablePruning {
-			active = pruneFusedWindow(producer.passPos, producer.patterns, bands, ubs, active, pc)
-		}
+		active = pruneFusedWindow(producer.passPos, producer.patterns, bands, ubs, active, pc)
 	}
 	fc.coreLoads.Add(loads)
 

@@ -11,70 +11,16 @@ import (
 	"soctap/internal/wrapper"
 )
 
-// TestFusedTableEquivalence is the bit-identity guarantee of the fused
-// sweep against the per-point streaming path it replaces: for every
-// d695 core plus the decay and compressible synthetics, tables built
-// with fusion (the streaming default) must be deeply equal to
-// DisableFusion builds at windows 1, 64 and ∞, Workers 1 and 8 alike.
-// The matrix re-runs at a tiny batch size so band incumbents carry
-// across fused passes — the multi-batch schedule a giant core sees.
-func TestFusedTableEquivalence(t *testing.T) {
-	type tc struct {
-		core *soc.Core
-		opts TableOptions
-	}
-	var cases []tc
-	for _, c := range soc.D695().Cores {
-		cases = append(cases, tc{c, TableOptions{MaxWidth: 8, BandSamples: 3}})
-	}
-	cases = append(cases, tc{decayCore(13), TableOptions{MaxWidth: 12}})
-	cases = append(cases, tc{compressibleCore(17), TableOptions{MaxWidth: 10, BandSamples: 4}})
-	for _, batch := range []int{fusedBatchPoints, 3} {
-		windows := streamWindows
-		if batch != fusedBatchPoints {
-			windows = []int{DefaultEvalWindow}
-		}
-		old := fusedBatchPoints
-		fusedBatchPoints = batch
-		for _, cse := range cases {
-			for _, window := range windows {
-				for _, workers := range []int{1, 8} {
-					opts := cse.opts
-					opts.EvalWindow = window
-					opts.Workers = workers
-					opts.DisableFusion = true
-					plain, err := BuildTable(cse.core, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					opts.DisableFusion = false
-					fused, err := BuildTable(cse.core, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(fused, plain) {
-						t.Errorf("%s batch=%d window=%d workers=%d: fused table differs from unfused",
-							cse.core.Name, batch, window, workers)
-					}
-				}
-			}
-		}
-		fusedBatchPoints = old
-	}
-}
-
 // TestFusedMidPassPruning pins the mid-pass drop machinery: on a core
 // with compressible patterns and an exhaustive band sweep, the fused
 // build must prune candidates (eval.pruned > 0), record its pass
 // telemetry consistently (loads ≥ passes ≥ 1, at most one pass per
-// batch of points), and still produce the exact DisableFusion table.
+// batch of points), and still produce the exact table of the plain
+// band sweep over a whole-set window.
 func TestFusedMidPassPruning(t *testing.T) {
 	c := compressibleCore(29)
 	opts := TableOptions{MaxWidth: 10, BandSamples: -1, EvalWindow: 4}
-	plain, err := BuildTable(c, TableOptions{
-		MaxWidth: opts.MaxWidth, BandSamples: opts.BandSamples,
-		EvalWindow: opts.EvalWindow, DisableFusion: true,
-	})
+	plain, err := BuildTable(c, TableOptions{MaxWidth: opts.MaxWidth, BandSamples: opts.BandSamples})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +30,7 @@ func TestFusedMidPassPruning(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(fused, plain) {
-		t.Fatal("fused table differs from unfused")
+		t.Fatal("fused table differs from the whole-set build")
 	}
 	sn := tel.Snapshot()
 	passes := sn.Counters["eval.passes"]
@@ -195,7 +141,7 @@ func TestFusedWindowKernelZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ev.streamed {
+	if ev.window >= ev.patterns {
 		t.Fatal("expected a streaming evaluator")
 	}
 	newPoint := func(m int) *fusedPoint {

@@ -3,11 +3,11 @@
 // as two slice-major word planes — a care plane and a value plane, one
 // row of ceil(m/64) words per scan-in slice — and priced with popcounts
 // and mask walks (see selenc's mask layout). Two strategies build the
-// planes, chosen once per evaluator from the test set's measured care
-// density:
+// planes, chosen per loaded cube window from its measured care density:
 //
 //   - dense (d695-class cores): per-cube flat bit planes are built once
-//     and cached for the whole (w,m) sweep; per design, wrapper
+//     per window load (once for the whole sweep when a whole-set window
+//     stays loaded); per design, wrapper
 //     StimulusSegments bulk-copy them into chain-major rows and a 64×64
 //     block transpose re-slices them to slice-major. No per-care-bit
 //     work inside the sweep at all.
@@ -50,14 +50,16 @@ type kernelScratch struct {
 
 	// Sparse path: stimulus map plus dirty-row bookkeeping. The slice
 	// planes are all-zero between patterns; scatters dirty rows, the
-	// walk prices them, and the clear pass restores the invariant. In
-	// streaming mode refs resolves lazily on first sparse use, so
-	// dense-only passes never build (or retain) a stimulus map.
+	// walk prices them, and the clear pass restores the invariant. refs
+	// resolves lazily on first sparse use, so dense-only passes never
+	// build (or retain) a stimulus map.
 	refs  []wrapper.CellRef
 	dirty []int32
 	mark  []bool
 
-	// Dense path: the chain-major intermediate planes.
+	// Dense path: the design's stimulus segments and the chain-major
+	// intermediate planes, resolved on the first dense window per design
+	// (segs == nil until then).
 	segs       []wrapper.StimulusSegment
 	chainCare  []uint64 // [chainWords*64 rows][siWords]
 	chainValue []uint64
@@ -69,15 +71,23 @@ type kernelScratch struct {
 	sliceValue []uint64
 	// sliceZeroed tracks the sparse path's all-zero plane invariant.
 	// The dense kernel overwrites walked words without restoring them,
-	// so in streaming mode — where the strategy may flip between
-	// windows — a sparse window after a dense one must first re-zero
-	// the planes. Resident evaluators never flip and keep the flag's
-	// initial value for their whole life.
+	// so when the strategy flips between windows a sparse window after
+	// a dense one must first re-zero the planes.
 	sliceZeroed bool
 }
 
 // kernelPrepare (re)targets the kernel scratch at a wrapper design.
-// Consecutive calls with the same design are free.
+// Consecutive calls with the same design are free. The plane-building
+// strategy may differ from window to window, so the scratch is readied
+// for both kernels: the slice planes are sized at the dense (padded)
+// layout, a superset of the sparse one, and the sparse path's dirty-row
+// state covers every slice row. The rest is deferred to the first
+// window that needs it: the dense path's stimulus segments and
+// chain-major planes (patternOpsDense), so sparse-only sweeps never
+// allocate them, and the sparse path's stimulus map (patternOpsSparse),
+// since a fused batch holds many designs alive at once and a map per
+// design is only worth its O(stimulus bits) memory when a sparse window
+// actually scatters through it.
 func (e *Evaluator) kernelPrepare(d *wrapper.Design) {
 	ks := &e.kern
 	if ks.prepared == d {
@@ -87,74 +97,8 @@ func (e *Evaluator) kernelPrepare(d *wrapper.Design) {
 	ks.si = d.ScanIn
 	ks.chainWords = (d.M + 63) / 64
 	ks.siWords = (d.ScanIn + 63) / 64
-
-	if e.streamed {
-		e.kernelPrepareStreaming(d)
-		return
-	}
-
-	if e.win.dense {
-		ks.segs = d.StimulusSegments()
-		e.win.buildFlatPlanesOnce(e.numBits)
-		chainNeed := ks.chainWords * 64 * ks.siWords
-		if cap(ks.chainCare) < chainNeed {
-			ks.chainCare = make([]uint64, chainNeed)
-			ks.chainValue = make([]uint64, chainNeed)
-		}
-		ks.chainCare = ks.chainCare[:chainNeed]
-		ks.chainValue = ks.chainValue[:chainNeed]
-		sliceNeed := ks.siWords * 64 * ks.chainWords
-		if cap(ks.sliceCare) < sliceNeed {
-			ks.sliceCare = make([]uint64, sliceNeed)
-			ks.sliceValue = make([]uint64, sliceNeed)
-		}
-		ks.sliceCare = ks.sliceCare[:sliceNeed]
-		ks.sliceValue = ks.sliceValue[:sliceNeed]
-		return
-	}
-
-	ks.refs = d.StimulusMap()
-	// Growth via make starts zeroed and the clear pass keeps every word
-	// that was ever used zeroed, so re-slicing a larger capacity down
-	// never exposes stale bits.
-	sliceNeed := ks.si * ks.chainWords
-	if cap(ks.sliceCare) < sliceNeed {
-		ks.sliceCare = make([]uint64, sliceNeed)
-		ks.sliceValue = make([]uint64, sliceNeed)
-		ks.sliceZeroed = true
-	}
-	ks.sliceCare = ks.sliceCare[:sliceNeed]
-	ks.sliceValue = ks.sliceValue[:sliceNeed]
-	if cap(ks.mark) < ks.si {
-		ks.mark = make([]bool, ks.si)
-		ks.dirty = make([]int32, 0, ks.si)
-	}
-	ks.mark = ks.mark[:ks.si]
-}
-
-// kernelPrepareStreaming readies the scratch for a streamed evaluation
-// pass, where the plane-building strategy may differ from window to
-// window: both the dense path's segment/transpose state and the sparse
-// path's scatter state are targeted at the design, with the slice
-// planes at the dense (padded) size — a superset of the sparse layout,
-// so either kernel can run against them. Per-cube flat planes are not
-// built here; each dense window builds its own (buildFlatPlanes on the
-// shared window). The stimulus map is deferred to the first sparse
-// window (patternOpsSparse): a fused batch holds many designs alive at
-// once, and a map per design is only worth its O(stimulus bits) memory
-// when a sparse window actually scatters through it.
-func (e *Evaluator) kernelPrepareStreaming(d *wrapper.Design) {
-	ks := &e.kern
-	ks.segs = d.StimulusSegments()
+	ks.segs = nil
 	ks.refs = nil
-
-	chainNeed := ks.chainWords * 64 * ks.siWords
-	if cap(ks.chainCare) < chainNeed {
-		ks.chainCare = make([]uint64, chainNeed)
-		ks.chainValue = make([]uint64, chainNeed)
-	}
-	ks.chainCare = ks.chainCare[:chainNeed]
-	ks.chainValue = ks.chainValue[:chainNeed]
 
 	sliceNeed := ks.siWords * 64 * ks.chainWords
 	if cap(ks.sliceCare) < sliceNeed {
@@ -172,27 +116,9 @@ func (e *Evaluator) kernelPrepareStreaming(d *wrapper.Design) {
 	ks.mark = ks.mark[:ks.si]
 }
 
-// buildFlatPlanesOnce materializes every cube of a resident window as
-// dense care/value planes in flat stimulus order, once per evaluator:
-// the flat layout does not depend on m, so the whole (w,m) sweep shares
-// them. This whole-set allocation is exactly what the streaming path
-// avoids — see buildFlatPlanes.
-func (w *evalWindow) buildFlatPlanesOnce(numBits int) {
-	if w.flatBuilt {
-		return
-	}
-	w.flatWords = (numBits + 63) / 64
-	n := w.count * w.flatWords
-	w.flatCare = make([]uint64, n)
-	w.flatValue = make([]uint64, n)
-	w.scatterFlat()
-	w.flatBuilt = true
-}
-
 // buildFlatPlanes materializes the loaded cube window as flat
-// care/value planes, recycling the buffers across windows — the
-// streaming counterpart of buildFlatPlanesOnce, bounded at window ×
-// flatWords words instead of testset × flatWords.
+// care/value planes, recycling the buffers across windows — bounded at
+// window × flatWords words.
 func (w *evalWindow) buildFlatPlanes(numBits int) {
 	w.flatWords = (numBits + 63) / 64
 	n := w.count * w.flatWords
@@ -241,6 +167,17 @@ func (e *Evaluator) patternOpsDense(j int, k int64, groupCopy bool) int64 {
 	cw, siW := ks.chainWords, ks.siWords
 	ks.sliceZeroed = false
 
+	if ks.segs == nil {
+		// First dense window under this design (see kernelPrepare).
+		ks.segs = ks.prepared.StimulusSegments()
+		chainNeed := cw * 64 * siW
+		if cap(ks.chainCare) < chainNeed {
+			ks.chainCare = make([]uint64, chainNeed)
+			ks.chainValue = make([]uint64, chainNeed)
+		}
+		ks.chainCare = ks.chainCare[:chainNeed]
+		ks.chainValue = ks.chainValue[:chainNeed]
+	}
 	clear(ks.chainCare)
 	clear(ks.chainValue)
 	fb := j * win.flatWords
@@ -290,7 +227,7 @@ func (e *Evaluator) patternOpsSparse(j int, k int64, groupCopy bool) int64 {
 	ks := &e.kern
 	cw := ks.chainWords
 	if ks.refs == nil {
-		// Deferred from kernelPrepareStreaming: the design's stimulus
+		// Deferred from kernelPrepare: the design's stimulus
 		// map is only materialized once a sparse window needs it (it is
 		// sync.Once-cached on the design, so this is allocation-free
 		// after the first sparse window per design).

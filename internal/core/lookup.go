@@ -31,29 +31,17 @@ type TableOptions struct {
 	// sequential), so Workers is excluded from cache keys and from the
 	// options recorded on the table.
 	Workers int
-	// DisablePruning turns off the incumbent lower-bound pruning of the
-	// banded (w, m) sweep. Pruning is exact — only provably dominated
-	// candidates are skipped and the table is bit-identical either way
-	// (see bandBounds and the golden-equivalence test) — so the knob
-	// exists for verification and benchmark comparison and, like
-	// Workers, is erased from cache keys and recorded options.
-	DisablePruning bool
-	// EvalWindow selects the evaluator's residency mode (see
-	// NewEvaluatorWindow): 0 picks automatically by core size, > 0
-	// streams the test set in windows of that many cubes, EvalWindowAll
-	// streams the whole set as one window. Streamed and resident builds
-	// produce bit-identical tables (the streaming-equivalence gate), so
-	// EvalWindow only moves peak memory and — like Workers — is erased
-	// from cache keys and from the options recorded on the table.
+	// EvalWindow is the evaluator's window size in cubes (see
+	// evalSource): 0 picks automatically by core size, > 0 prices the
+	// test set in windows of that many cubes, and negative values are
+	// rejected. A build whose window is shorter than the test set fuses
+	// its (w, m) sweep into shared passes over the streamed cubes
+	// (fused.go); a whole-set window runs the plain band sweep against
+	// the core's cached set. Every window produces a bit-identical table
+	// (the golden-digest gate), so EvalWindow only moves peak memory and
+	// — like Workers — is erased from cache keys and from the options
+	// recorded on the table.
 	EvalWindow int
-	// DisableFusion turns off the fused single-pass (w, m) sweep on the
-	// streaming path, falling back to one full source pass per
-	// evaluation point (resident builds never fuse — the set is already
-	// in memory). Fusion is exact: fused and unfused tables are
-	// bit-identical (the fused-equivalence gate), so the knob exists for
-	// verification and benchmarking and — like Workers — is erased from
-	// cache keys and from the options recorded on the table.
-	DisableFusion bool
 }
 
 func (o TableOptions) withDefaults() TableOptions {
@@ -72,18 +60,8 @@ func (o TableOptions) withDefaults() TableOptions {
 func (o TableOptions) normalized() TableOptions {
 	o = o.withDefaults()
 	o.Workers = 0
-	o.DisablePruning = false
 	o.EvalWindow = 0
-	o.DisableFusion = false
 	return o
-}
-
-// streamingEval reports whether the EvalWindow setting selects the
-// streaming evaluator path for this core — explicitly (non-zero
-// window), or automatically when the raw stimulus image crosses the
-// residency threshold. Mirrors NewEvaluatorWindow's mode choice.
-func streamingEval(c *soc.Core, window int) bool {
-	return window != 0 || c.StimulusVolumeBits() >= autoStreamRawBits
 }
 
 // resolveWorkers maps a Workers option to an actual pool size: zero (or
@@ -270,16 +248,12 @@ func buildTable(ctx context.Context, c *soc.Core, opts TableOptions, tel *teleme
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Validate the core's test set up front. In resident mode this also
-	// generates it, warming the cache every worker's Evaluator shares;
-	// in streaming mode materializing the set would defeat the windowed
-	// path's O(window) residency, so only the spec is validated (a
-	// source probe generates nothing).
-	if streamingEval(c, opts.EvalWindow) {
-		if _, err := c.TestSource(); err != nil {
-			return nil, err
-		}
-	} else if _, err := c.TestSet(); err != nil {
+	// Validate the core's test set up front. A whole-set window also
+	// generates it, warming the cache every worker's Evaluator shares; a
+	// shorter window only probes the generator spec, since materializing
+	// the set would defeat its O(window) residency.
+	src, window, err := evalSource(c, opts.EvalWindow)
+	if err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -335,17 +309,18 @@ func buildTable(ctx context.Context, c *soc.Core, opts TableOptions, tel *teleme
 		}
 		return fmt.Sprintf("tdc band w=%d", bands[i-directM].w)
 	}
-	// On the streaming path the banded sweep fuses: every loaded window
-	// is priced against all active (w, m) points before the next loads,
-	// so the source is traversed once per batch instead of once per
-	// point. The no-TDC side is closed-form (no cube pass) and stays on
-	// the plain worker pool either way.
-	fused := streamingEval(c, opts.EvalWindow) && !opts.DisableFusion
+	// A window shorter than the test set fuses the banded sweep: every
+	// loaded window is priced against all active (w, m) points before
+	// the next loads, so the source is traversed once per batch instead
+	// of once per point. A whole-set window is already resident, so its
+	// bands run the plain sweep on the worker pool. The no-TDC side is
+	// closed-form (no cube pass) and stays on the pool either way.
+	fused := window < src.Len()
 	n := directM + len(bands)
 	if fused {
 		n = directM
 	}
-	err := forEachEval(ctx, c, opts.Workers, opts.EvalWindow, n, tel, point, func(ev *Evaluator, i int) error {
+	err = forEachEval(ctx, c, opts.Workers, opts.EvalWindow, n, tel, point, func(ev *Evaluator, i int) error {
 		if i < directM {
 			cfg, err := ev.NoTDC(i + 1)
 			if err != nil {
@@ -355,7 +330,7 @@ func buildTable(ctx context.Context, c *soc.Core, opts TableOptions, tel *teleme
 			return nil
 		}
 		b := &bands[i-directM]
-		best, err := sweepBand(ev, b.w, b.ms, opts.DisablePruning, pc)
+		best, err := sweepBand(ev, b.w, b.ms, pc)
 		if err != nil {
 			return err
 		}
@@ -425,8 +400,8 @@ type pruneCounters struct {
 }
 
 // sweepBand finds the best TDC configuration in one codeword-width
-// band, sweeping the sampled m values from highest to lowest. With
-// pruning enabled, each candidate is first checked against two
+// band, sweeping the sampled m values from highest to lowest. Once an
+// incumbent exists, each candidate is first checked against two
 // admissible lower bounds — one from the core alone (no wrapper
 // design), then one from the exact wrapper depths — and skipped when
 // the bound is already strictly lex-worse (time, then volume) than the
@@ -438,11 +413,11 @@ type pruneCounters struct {
 // band winner; lex-equal candidates are never pruned (their bound is
 // not strictly worse) and ties resolve to the smallest m exactly as an
 // ascending first-win reduction would.
-func sweepBand(ev *Evaluator, w int, ms []int, disablePruning bool, pc pruneCounters) (Config, error) {
+func sweepBand(ev *Evaluator, w int, ms []int, pc pruneCounters) (Config, error) {
 	var best Config
 	for i := len(ms) - 1; i >= 0; i-- {
 		m := ms[i]
-		if best.Feasible && !disablePruning {
+		if best.Feasible {
 			if bt, bv := coreBound(ev, m, w); boundWorse(bt, bv, best) {
 				pc.pruned.Inc()
 				pc.corePruned.Inc()
@@ -589,11 +564,7 @@ func SweepTDCContext(ctx context.Context, c *soc.Core, lo, hi, workers int) ([]C
 	if hi < lo {
 		return nil, fmt.Errorf("core: empty sweep range [%d,%d] for %s", lo, hi, c.Name)
 	}
-	if streamingEval(c, 0) {
-		if _, err := c.TestSource(); err != nil {
-			return nil, err
-		}
-	} else if _, err := c.TestSet(); err != nil {
+	if _, _, err := evalSource(c, 0); err != nil {
 		return nil, err
 	}
 	out := make([]Config, hi-lo+1)

@@ -327,12 +327,48 @@ func TestBuildTableErrors(t *testing.T) {
 	}
 }
 
+// unprunedBands is the reference band sweep the pruning gate compares
+// against: for every codeword-width band of a table build, ev.TDC at
+// every sampled m, reduced to the lex-min (time, then volume) with the
+// smallest m winning ties. Bands wholly above the core's maximum chain
+// count stay infeasible (the zero Config).
+func unprunedBands(t *testing.T, c *soc.Core, opts TableOptions) []Config {
+	t.Helper()
+	opts = opts.withDefaults()
+	ev, err := NewEvaluator(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]Config, opts.MaxWidth+1)
+	maxM := c.MaxWrapperChains()
+	for w := 3; w <= opts.MaxWidth; w++ {
+		lo, hi, err := selenc.MBand(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lo > maxM {
+			break
+		}
+		for _, m := range sampleBand(lo, min(hi, maxM), opts.BandSamples) {
+			cfg, err := ev.TDC(m, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cfg.better(out[w]) {
+				out[w] = cfg
+			}
+		}
+	}
+	return out
+}
+
 // TestBuildTablePruningGoldenEquivalence is the zero-loss guarantee of
-// the lower-bound pruning: for every d695 and industrial core, the
-// table built with pruning must be deeply equal to the table built
-// without it, whether the sweep runs sequentially or on 8 workers.
-// Industrial cores use a reduced band sampling so the full matrix stays
-// tractable under -race; d695 cores run with the default options.
+// the lower-bound pruning: for every d695 and industrial core, each
+// band winner of the pruned table build must equal the winner of an
+// unpruned sweep of the same band (unprunedBands), whether the build
+// runs sequentially or on 8 workers. Industrial cores use a reduced
+// band sampling so the full matrix stays tractable under -race; d695
+// cores run with the default options.
 func TestBuildTablePruningGoldenEquivalence(t *testing.T) {
 	type tc struct {
 		core *soc.Core
@@ -346,6 +382,7 @@ func TestBuildTablePruningGoldenEquivalence(t *testing.T) {
 		cases = append(cases, tc{soc.MustIndustrialCore(name), TableOptions{BandSamples: 12}})
 	}
 	for _, cse := range cases {
+		want := unprunedBands(t, cse.core, cse.opts)
 		for _, workers := range []int{1, 8} {
 			opts := cse.opts
 			opts.Workers = workers
@@ -353,13 +390,8 @@ func TestBuildTablePruningGoldenEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts.DisablePruning = true
-			plain, err := BuildTable(cse.core, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(pruned, plain) {
-				t.Errorf("%s workers=%d: pruned table differs from unpruned", cse.core.Name, workers)
+			if !reflect.DeepEqual(pruned.TDCExact, want) {
+				t.Errorf("%s workers=%d: pruned band winners differ from the unpruned sweep", cse.core.Name, workers)
 			}
 		}
 	}

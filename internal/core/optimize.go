@@ -422,10 +422,9 @@ func buildSelectors(ctx context.Context, s *soc.SOC, tabOpts TableOptions, opts 
 }
 
 // searchCtx carries the architecture search's shared state: the dense
-// duration matrix, the search-wide makespan memo, and the worker pool
-// configuration. One context spans the whole search of an Optimize call
-// — the k-loop, every refine, and the merge pass share the memo, so a
-// partition scheduled by one phase is never re-scheduled by another.
+// duration matrix and the worker pool configuration. One context spans
+// the whole search of an Optimize call — the k-loop, every refine, and
+// the merge pass.
 type searchCtx struct {
 	nCores  int
 	wtam    int
@@ -445,10 +444,6 @@ type searchCtx struct {
 	panicMu  sync.Mutex
 	panicErr error
 	sink     *telemetry.Sink
-	// memo maps Partition.Key() (the canonical width multiset — the
-	// greedy makespan is invariant under bus reordering) to the
-	// schedule's makespan; infeasible partitions memoize as -1.
-	memo map[string]int64
 	// durFn is sc.dur bound once, so the hot loops don't allocate a
 	// method value per schedule evaluation.
 	durFn sched.Duration
@@ -456,13 +451,8 @@ type searchCtx struct {
 	// their own.
 	planner sched.Planner
 
-	// Makespan-memo accounting: hits are candidates served from the
-	// memo (including within-batch duplicates), misses are schedules
-	// actually computed. Both are deterministic for any Workers setting
-	// because batch contents are. placements is shared by every worker
-	// planner (the counter is atomic).
-	memoHits   *telemetry.Counter
-	memoMisses *telemetry.Counter
+	// placements is shared by every worker planner (the counter is
+	// atomic).
 	placements *telemetry.Counter
 	// scheduleHist distributes per-placement wall clock; shared by every
 	// worker planner like placements (the histogram is atomic).
@@ -480,7 +470,6 @@ func newSearchCtx(ctx context.Context, s *soc.SOC, wtam int, selectors []selecto
 		naive:   opts.NaiveOrder,
 		workers: opts.Workers,
 		ctx:     ctx,
-		memo:    make(map[string]int64),
 		sink:    opts.Telemetry.Sink(),
 	}
 	if ctx.Done() != nil {
@@ -497,8 +486,6 @@ func newSearchCtx(ctx context.Context, s *soc.SOC, wtam int, selectors []selecto
 	}
 	sc.durFn = sc.dur
 	if sink := opts.Telemetry.Sink(); sink != nil {
-		sc.memoHits = sink.Counter("search.memo_hits")
-		sc.memoMisses = sink.Counter("search.memo_misses")
 		sc.placements = sink.Counter("sched.placements")
 		sc.scheduleHist = sink.Histogram("sched.schedule_seconds")
 		sc.planner.Placements = sc.placements
@@ -585,87 +572,42 @@ func (sc *searchCtx) makespan(p tam.Partition, pl *sched.Planner) int64 {
 }
 
 // evalBatch returns the makespan of every candidate partition (aligned
-// with cands; -1 marks infeasible), serving repeats from the memo and
-// fanning the misses out over the worker pool. Each miss is a pure
-// function of its partition and is written to an indexed slot, so the
-// result — and every search decision derived from it — is bit-identical
-// for any Workers setting.
+// with cands; -1 marks infeasible), fanning the batch out over the
+// worker pool. Each candidate is a pure function of its partition and
+// is written to an indexed slot, so the result — and every search
+// decision derived from it — is bit-identical for any Workers setting.
+// An aborted search stops early and leaves the unevaluated slots zero;
+// Optimize never reads an aborted batch (see failure()).
 func (sc *searchCtx) evalBatch(cands []tam.Partition) []int64 {
-	return sc.evalBatchKeys(cands, nil)
-}
-
-// evalBatchKeys is evalBatch with the candidates' canonical keys
-// precomputed (callers that already derived them for dedup pass them
-// through instead of re-canonicalizing).
-func (sc *searchCtx) evalBatchKeys(cands []tam.Partition, keys []string) []int64 {
 	out := make([]int64, len(cands))
-	if keys == nil {
-		keys = make([]string, len(cands))
-		for i, p := range cands {
-			keys[i] = p.Key()
-		}
-	}
-	var misses []int
-	inBatch := make(map[string]bool, len(cands))
-	for i := range cands {
-		if _, ok := sc.memo[keys[i]]; ok {
-			continue
-		}
-		if !inBatch[keys[i]] {
-			inBatch[keys[i]] = true
-			misses = append(misses, i)
-		}
-	}
-
-	sc.memoHits.Add(int64(len(cands) - len(misses)))
-	sc.memoMisses.Add(int64(len(misses)))
-
-	workers := resolveWorkers(sc.workers, len(misses))
+	workers := resolveWorkers(sc.workers, len(cands))
 	if workers <= 1 {
-		sc.evalMisses(cands, misses, out, &sc.planner)
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				pl := sched.Planner{Placements: sc.placements, ScheduleSeconds: sc.scheduleHist, Check: sc.check}
-				for {
-					if sc.aborted() {
-						return
-					}
-					n := int(next.Add(1)) - 1
-					if n >= len(misses) {
-						return
-					}
-					i := misses[n]
-					sc.evalOne(cands[i], &pl, &out[i])
+		for i := range cands {
+			if sc.aborted() {
+				break
+			}
+			sc.evalOne(cands[i], &sc.planner, &out[i])
+		}
+		return out
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pl := sched.Planner{Placements: sc.placements, ScheduleSeconds: sc.scheduleHist, Check: sc.check}
+			for !sc.aborted() {
+				i := int(next.Add(1)) - 1
+				if i >= len(cands) {
+					return
 				}
-			}()
-		}
-		wg.Wait()
+				sc.evalOne(cands[i], &pl, &out[i])
+			}
+		}()
 	}
-
-	for _, i := range misses {
-		sc.memo[keys[i]] = out[i]
-	}
-	for i := range cands {
-		out[i] = sc.memo[keys[i]]
-	}
+	wg.Wait()
 	return out
-}
-
-// evalMisses is the sequential batch loop, stopping early when the
-// search is aborted (the unevaluated slots stay zero; Optimize never
-// reads an aborted batch — see failure()).
-func (sc *searchCtx) evalMisses(cands []tam.Partition, misses []int, out []int64, pl *sched.Planner) {
-	for _, i := range misses {
-		if sc.aborted() {
-			return
-		}
-		sc.evalOne(cands[i], pl, &out[i])
-	}
 }
 
 // evalOne evaluates one candidate with panic containment: a panic
@@ -688,14 +630,13 @@ func (sc *searchCtx) evalOne(p tam.Partition, pl *sched.Planner, out *int64) {
 func (sc *searchCtx) refine(part tam.Partition, mk int64, maxIter int) (tam.Partition, int64) {
 	seen := map[string]bool{part.Key(): true}
 	var cands []tam.Partition
-	var keys []string
 	for iter := 0; iter < maxIter; iter++ {
 		if sc.aborted() {
 			// Results past this point are meaningless; Optimize's
 			// failure() check discards them.
 			return part, mk
 		}
-		cands, keys = cands[:0], keys[:0]
+		cands = cands[:0]
 		for from := range part {
 			for to := range part {
 				if from == to {
@@ -711,13 +652,12 @@ func (sc *searchCtx) refine(part tam.Partition, mk int64, maxIter int) (tam.Part
 				}
 				seen[key] = true
 				cands = append(cands, q)
-				keys = append(keys, key)
 			}
 		}
 		if len(cands) == 0 {
 			return part, mk
 		}
-		mks := sc.evalBatchKeys(cands, keys)
+		mks := sc.evalBatch(cands)
 		best := -1
 		for i := range cands {
 			if mks[i] <= 0 {

@@ -40,72 +40,25 @@ func decayCore(seed int64) *soc.Core {
 	}
 }
 
-// streamWindows is the window axis of the equivalence matrix: single
-// cube, the default, and the whole set as one window.
-var streamWindows = []int{1, DefaultEvalWindow, EvalWindowAll}
-
-// TestStreamingTableEquivalence is the bit-identity guarantee of the
-// windowed evaluator: for every d695 and industrial core, tables built
-// with EvalWindow 1, 64 (default) and ∞ must be deeply equal to the
-// resident build — same Configs, same normalized Opts — at Workers 1
-// and 8 alike. Industrial cores run with reduced patterns, width and
-// band sampling so the full matrix stays tractable under -race.
-func TestStreamingTableEquivalence(t *testing.T) {
-	type tc struct {
-		core *soc.Core
-		opts TableOptions
-	}
-	var cases []tc
-	for _, c := range soc.D695().Cores {
-		cases = append(cases, tc{c, TableOptions{MaxWidth: 8, BandSamples: 3}})
-	}
-	for _, name := range soc.IndustrialCoreNames() {
-		cases = append(cases, tc{trimmedCore(soc.MustIndustrialCore(name), 50),
-			TableOptions{MaxWidth: 7, BandSamples: 2}})
-	}
-	cases = append(cases, tc{decayCore(7), TableOptions{MaxWidth: 12}})
-	for _, cse := range cases {
-		base, err := BuildTable(cse.core, cse.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, window := range streamWindows {
-			for _, workers := range []int{1, 8} {
-				opts := cse.opts
-				opts.EvalWindow = window
-				opts.Workers = workers
-				streamed, err := BuildTable(cse.core, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(streamed, base) {
-					t.Errorf("%s window=%d workers=%d: streamed table differs from resident",
-						cse.core.Name, window, workers)
-				}
-			}
-		}
-	}
-}
-
 // TestStreamingEvaluatorEquivalence compares the evaluator primitives
-// (TDC with and without group copy, PatternBits) streamed against
-// resident at every window, including windows that split the set
-// unevenly (patterns not a multiple of the window).
+// (TDC with and without group copy, PatternBits) streamed against the
+// whole-set window at every window, including windows that split the
+// set unevenly (patterns not a multiple of the window).
 func TestStreamingEvaluatorEquivalence(t *testing.T) {
 	for _, c := range []*soc.Core{smallCore(3), compressibleCore(5), decayCore(11)} {
 		resident, err := NewEvaluatorWindow(c, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resident.src != nil {
+		if resident.window != resident.patterns {
 			t.Fatalf("%s: auto mode streamed a small core", c.Name)
 		}
-		for _, window := range []int{1, 7, DefaultEvalWindow, EvalWindowAll} {
+		for _, window := range []int{1, 7, DefaultEvalWindow} {
 			ev, err := NewEvaluatorWindow(c, window)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ev.src == nil {
+			if window < c.Patterns && ev.window >= ev.patterns {
 				t.Fatalf("%s window=%d: expected a streaming evaluator", c.Name, window)
 			}
 			for _, m := range []int{2, 5, 9} {
@@ -139,65 +92,71 @@ func TestStreamingEvaluatorEquivalence(t *testing.T) {
 	}
 }
 
-// TestEvalWindowValidation covers the mode-selection edges: rejected
-// negative windows, EvalWindowAll, and window clamping.
+// TestEvalWindowValidation covers the window-resolution edges: every
+// negative window is rejected (by the evaluator and by BuildTable),
+// automatic residency keeps a small core in one whole-set window, and
+// windows at or above the set clamp to it.
 func TestEvalWindowValidation(t *testing.T) {
 	c := smallCore(1)
-	if _, err := NewEvaluatorWindow(c, -2); err == nil {
-		t.Error("EvalWindow -2 accepted")
+	for _, window := range []int{-1, -2} {
+		if _, err := NewEvaluatorWindow(c, window); err == nil {
+			t.Errorf("EvalWindow %d accepted", window)
+		}
+		if _, err := BuildTable(c, TableOptions{MaxWidth: 4, EvalWindow: window}); err == nil {
+			t.Errorf("BuildTable accepted EvalWindow %d", window)
+		}
 	}
-	ev, err := NewEvaluatorWindow(c, EvalWindowAll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.window != c.Patterns {
-		t.Errorf("EvalWindowAll window = %d, want %d", ev.window, c.Patterns)
-	}
-	// Windows larger than the set clamp to the set.
-	ev, err = NewEvaluatorWindow(c, 10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.window != c.Patterns {
-		t.Errorf("oversized window = %d, want %d", ev.window, c.Patterns)
+	for _, window := range []int{0, c.Patterns, 10_000} {
+		ev, err := NewEvaluatorWindow(c, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.window != c.Patterns {
+			t.Errorf("EvalWindow %d: window = %d, want the whole set (%d)", window, ev.window, c.Patterns)
+		}
 	}
 }
 
 // TestStreamingWindowTelemetry asserts the deterministic window
-// counters: one pass of a streamed evaluation loads ceil(p/window)
-// windows covering exactly p cubes.
+// counters: every pass of a streamed evaluation loads ceil(p/window)
+// windows covering exactly p cubes, and every pass over a kept
+// whole-set window counts one load of p cubes.
 func TestStreamingWindowTelemetry(t *testing.T) {
 	c := smallCore(9) // 20 patterns
-	tel := telemetry.New()
-	ev, err := NewEvaluatorWindow(c, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev.attachTelemetry(tel)
-	if _, err := ev.TDC(4, true); err != nil {
-		t.Fatal(err)
-	}
-	sn := tel.Snapshot()
-	if got := sn.Counters["eval.window_loads"]; got != 3 { // ceil(20/7)
-		t.Errorf("window_loads = %d, want 3", got)
-	}
-	if got := sn.Counters["eval.window_cubes"]; got != 20 {
-		t.Errorf("window_cubes = %d, want 20", got)
+	for _, tc := range []struct{ window, loads int64 }{{7, 3}, {0, 1}} {
+		tel := telemetry.New()
+		ev, err := NewEvaluatorWindow(c, int(tc.window))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev.attachTelemetry(tel)
+		for _, m := range []int{4, 6} {
+			if _, err := ev.TDC(m, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sn := tel.Snapshot()
+		if got := sn.Counters["eval.window_loads"]; got != 2*tc.loads {
+			t.Errorf("window=%d: window_loads = %d over two passes, want %d", tc.window, got, 2*tc.loads)
+		}
+		if got := sn.Counters["eval.window_cubes"]; got != 40 {
+			t.Errorf("window=%d: window_cubes = %d over two passes, want 40", tc.window, got)
+		}
 	}
 }
 
 // FuzzStreamingWindowEquivalence fuzzes the window axis against the
-// resident evaluator on a small synthetic core: any (seed, patterns,
+// whole-set window on a small synthetic core: any (seed, patterns,
 // density, window, m) combination must price identically however the
 // set is split into windows. Seeds pin the interesting boundaries —
 // window 1, window == patterns, patterns one off a window multiple.
 func FuzzStreamingWindowEquivalence(f *testing.F) {
 	f.Add(int64(1), 20, 0.15, 1, 4)
-	f.Add(int64(2), 65, 0.05, 64, 6)   // one cube past a window boundary
-	f.Add(int64(3), 64, 0.30, 64, 3)   // exactly one full window
-	f.Add(int64(4), 63, 0.20, 64, 5)   // one cube short of a window
-	f.Add(int64(5), 33, 0.16, 16, 2)   // dense head / sparse tail splits
-	f.Add(int64(6), 10, 0.90, 3, 7)    // saturated cubes
+	f.Add(int64(2), 65, 0.05, 64, 6) // one cube past a window boundary
+	f.Add(int64(3), 64, 0.30, 64, 3) // exactly one full window
+	f.Add(int64(4), 63, 0.20, 64, 5) // one cube short of a window
+	f.Add(int64(5), 33, 0.16, 16, 2) // dense head / sparse tail splits
+	f.Add(int64(6), 10, 0.90, 3, 7)  // saturated cubes
 	f.Fuzz(func(t *testing.T, seed int64, patterns int, density float64, window, m int) {
 		if patterns < 1 || patterns > 120 {
 			return

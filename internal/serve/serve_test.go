@@ -116,7 +116,7 @@ func TestOptimizeEndpoint(t *testing.T) {
 }
 
 func TestOptimizeValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBodyBytes: 256})
+	s, ts := newTestServer(t, Config{MaxBodyBytes: 256})
 
 	cases := []struct {
 		name, query, body string
@@ -128,6 +128,8 @@ func TestOptimizeValidation(t *testing.T) {
 		{"unknown style", "width=16&style=quantum", tinyDesign[:200], http.StatusBadRequest},
 		{"bad timeout", "width=16&timeout=-3s", tinyDesign[:200], http.StatusBadRequest},
 		{"bad kinds", "width=16&kinds=froth", tinyDesign[:200], http.StatusBadRequest},
+		{"eval-window -1", "design=d695&width=16&eval-window=-1", "", http.StatusBadRequest},
+		{"eval-window -2", "design=d695&width=16&eval-window=-2", "", http.StatusBadRequest},
 		{"oversized body", "width=16", tinyDesign, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
@@ -144,6 +146,10 @@ func TestOptimizeValidation(t *testing.T) {
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: error body not JSON with error field: %s", tc.name, body)
 		}
+	}
+	// Every rejection happens at parse time: no job ran, so none failed.
+	if n := s.Sink().Snapshot().Counters["serve.failed"]; n != 0 {
+		t.Errorf("serve.failed = %d after parse-time rejections, want 0", n)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package telemetry is the instrumentation and observability layer of
 // the optimizer pipeline: hierarchical phase spans (parse → per-core
 // table builds → architecture search → schedule → verify), race-safe
-// counters registered by subsystem (cache hits, memo hits, kernel
-// invocations), wall-clock timers (worker busy time), log2-bucketed
-// latency histograms with quantiles (histogram.go), a bounded
+// counters registered by subsystem (cache hits, kernel invocations,
+// schedule placements), wall-clock timers (worker busy time),
+// log2-bucketed latency histograms with quantiles (histogram.go), a bounded
 // non-blocking event bus for live consumers (bus.go), and HTTP
 // exposition — /metrics, /healthz, streaming /events, /debug/pprof —
 // for watching a run mid-flight (expose.go).

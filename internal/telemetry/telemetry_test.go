@@ -404,7 +404,7 @@ func TestRenderCacheTiers(t *testing.T) {
 	s.Counter("diskcache.hits").Add(7)
 	s.Counter("diskcache.misses").Add(3)
 	s.Counter("diskcache.bytes").Add(1406)
-	s.Counter("search.memo_hits").Add(5) // must not produce a row
+	s.Counter("sched.placements").Add(5) // must not produce a row
 	var buf bytes.Buffer
 	if err := s.Snapshot().Render(&buf); err != nil {
 		t.Fatal(err)
