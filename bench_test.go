@@ -19,13 +19,18 @@ import (
 	"soctap/internal/soc"
 )
 
+// benchEnv is shared by every benchmark, so consecutive benchmarks
+// reuse each other's lookup tables as the experiments of one repro run
+// do.
+var benchEnv = &experiments.Env{Cache: new(soctap.Cache)}
+
 // BenchmarkFig2CktSweep regenerates Figure 2: the exhaustive m sweep of
 // the w=10 band on ckt-7, whose non-monotonic test time motivates the
 // paper.
 func BenchmarkFig2CktSweep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig2()
+		r, err := benchEnv.Fig2()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -38,7 +43,7 @@ func BenchmarkFig2CktSweep(b *testing.B) {
 func BenchmarkFig3WidthSweep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig3()
+		r, err := benchEnv.Fig3()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -51,7 +56,7 @@ func BenchmarkFig3WidthSweep(b *testing.B) {
 func BenchmarkFig4Styles(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig4()
+		r, err := benchEnv.Fig4()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -64,7 +69,7 @@ func BenchmarkFig4Styles(b *testing.B) {
 func BenchmarkTab1ATEConstraint(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Tab1()
+		r, err := benchEnv.Tab1()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -81,7 +86,7 @@ func BenchmarkTab1ATEConstraint(b *testing.B) {
 func BenchmarkTab2TAMConstraint(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Tab2()
+		r, err := benchEnv.Tab2()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,7 +105,7 @@ func BenchmarkTab2TAMConstraint(b *testing.B) {
 func BenchmarkTab3WithWithoutTDC(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Tab3()
+		r, err := benchEnv.Tab3()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -138,7 +143,7 @@ func BenchmarkAblationBestM(b *testing.B) {
 		full, err := soctap.Optimize(s, 32, soctap.Options{
 			Style:  soctap.StyleTDCPerCore,
 			Tables: soctap.TableOptions{MaxWidth: 32, BandSamples: 48},
-			Cache:  experiments.SharedCache(),
+			Cache:  benchEnv.Cache,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -146,7 +151,7 @@ func BenchmarkAblationBestM(b *testing.B) {
 		bandMax, err := soctap.Optimize(s, 32, soctap.Options{
 			Style:  soctap.StyleTDCPerCore,
 			Tables: soctap.TableOptions{MaxWidth: 32, BandSamples: 1},
-			Cache:  experiments.SharedCache(),
+			Cache:  benchEnv.Cache,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -164,7 +169,7 @@ func BenchmarkAblationTAMRefine(b *testing.B) {
 		refined, err := soctap.Optimize(s, 37, soctap.Options{
 			Style:  soctap.StyleTDCPerCore,
 			Tables: soctap.TableOptions{MaxWidth: 37},
-			Cache:  experiments.SharedCache(),
+			Cache:  benchEnv.Cache,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -172,7 +177,7 @@ func BenchmarkAblationTAMRefine(b *testing.B) {
 		even, err := soctap.Optimize(s, 37, soctap.Options{
 			Style:             soctap.StyleTDCPerCore,
 			Tables:            soctap.TableOptions{MaxWidth: 37},
-			Cache:             experiments.SharedCache(),
+			Cache:             benchEnv.Cache,
 			DisableRefinement: true,
 		})
 		if err != nil {
@@ -191,7 +196,7 @@ func BenchmarkAblationSchedule(b *testing.B) {
 		lpt, err := soctap.Optimize(s, 32, soctap.Options{
 			Style:  soctap.StyleTDCPerCore,
 			Tables: soctap.TableOptions{MaxWidth: 64},
-			Cache:  experiments.SharedCache(),
+			Cache:  benchEnv.Cache,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -199,7 +204,7 @@ func BenchmarkAblationSchedule(b *testing.B) {
 		naive, err := soctap.Optimize(s, 32, soctap.Options{
 			Style:      soctap.StyleTDCPerCore,
 			Tables:     soctap.TableOptions{MaxWidth: 64},
-			Cache:      experiments.SharedCache(),
+			Cache:      benchEnv.Cache,
 			NaiveOrder: true,
 		})
 		if err != nil {
@@ -213,7 +218,7 @@ func BenchmarkAblationSchedule(b *testing.B) {
 // lookup tables — the CPU-time column of Table 3.
 func BenchmarkOptimizeD695(b *testing.B) {
 	s := soctap.D695()
-	cache := experiments.SharedCache()
+	cache := benchEnv.Cache
 	// Warm the tables outside the timed region.
 	if _, err := soctap.Optimize(s, 32, soctap.Options{
 		Style: soctap.StyleTDCPerCore, Tables: soctap.TableOptions{MaxWidth: 64}, Cache: cache,
@@ -243,7 +248,7 @@ func BenchmarkOptimizeSearch(b *testing.B) {
 	opts := soctap.Options{
 		Style:       soctap.StyleTDCPerCore,
 		Tables:      soctap.TableOptions{MaxWidth: 64},
-		Cache:       experiments.SharedCache(),
+		Cache:       benchEnv.Cache,
 		Workers:     1,
 		MergeSearch: true,
 	}
@@ -268,7 +273,7 @@ func BenchmarkVerifyPlan(b *testing.B) {
 	s := soctap.D695()
 	res, err := soctap.Optimize(s, 32, soctap.Options{
 		Style: soctap.StyleTDCPerCore, Tables: soctap.TableOptions{MaxWidth: 64},
-		Cache: experiments.SharedCache(),
+		Cache: benchEnv.Cache,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -354,7 +359,7 @@ func BenchmarkScalability24Cores(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cache := experiments.SharedCache()
+	cache := benchEnv.Cache
 	// Warm tables outside the timed region.
 	if _, err := soctap.Optimize(s, 64, soctap.Options{
 		Style: soctap.StyleTDCPerCore, Tables: soctap.TableOptions{MaxWidth: 64}, Cache: cache,

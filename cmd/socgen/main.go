@@ -24,9 +24,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 
+	"soctap/internal/cli"
 	"soctap/internal/soc"
 )
 
@@ -42,12 +41,8 @@ func main() {
 
 	// SIGINT/SIGTERM abort generation between cores; a second signal
 	// kills the process immediately.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cli.SignalContext()
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		stop()
-	}()
 
 	s, err := soc.Synthesize(ctx, soc.SynthSpec{
 		Name:     *name,

@@ -14,132 +14,90 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"soctap/internal/ate"
+	"soctap/internal/cli"
 	"soctap/internal/core"
 	"soctap/internal/report"
 	"soctap/internal/sim"
 	"soctap/internal/soc"
-	"soctap/internal/telemetry"
-	"soctap/internal/units"
 )
 
 func main() {
-	design := flag.String("design", "", "built-in design name (d695, d2758, System1..System4) or path to a .soc file")
-	width := flag.Int("width", 32, "total TAM width W_TAM in wires")
-	styleName := flag.String("style", "tdc-per-core", "architecture style: no-tdc, tdc-per-tam, tdc-per-core")
-	verify := flag.Bool("verify", false, "verify the plan by cycle-accurate simulation")
-	maxTAMs := flag.Int("max-tams", 0, "cap on the number of TAM buses (0 = number of cores)")
-	bandSamples := flag.Int("band-samples", 0, "m values sampled per codeword-width band (0 = default 48, -1 = exhaustive)")
-	workers := flag.Int("workers", 0, "evaluation-engine worker goroutines (0 = one per CPU, 1 = sequential; results are identical)")
-	evalWindow := flag.Int("eval-window", 0, "evaluator streaming window in cubes (0 = automatic by core size; results are identical)")
-	ateDepth := flag.Int64("ate-depth", 0, "ATE vector memory depth per channel in bits (0 = unlimited)")
-	ateFreq := flag.Float64("ate-mhz", 50, "ATE frequency in MHz for wall-clock reporting")
-	gantt := flag.Bool("gantt", false, "draw the schedule as an ASCII Gantt chart")
-	techsel := flag.Bool("techsel", false, "extend per-core choices with dictionary coding (technique selection)")
-	tableCache := flag.String("table-cache", "", "directory for the persistent lookup-table cache (reused across runs)")
-	tableCacheMem := flag.String("table-cache-mem", "", "in-memory table cache budget, e.g. 64M or 2GiB (empty = unbounded)")
-	tableCacheSize := flag.String("table-cache-size", "", "on-disk table cache budget under -table-cache, e.g. 512M (empty = unbounded)")
-	jsonOut := flag.String("json", "", "also write the plan as JSON to this file ('-' for stdout)")
-	telemetryOut := flag.String("telemetry", "", "write the telemetry snapshot (phase spans + counters) as JSON to this file ('-' for stdout)")
-	telemetryText := flag.Bool("telemetry-text", false, "render the telemetry snapshot as text on stderr after the run")
-	metricsAddr := flag.String("metrics-addr", "", "serve live /metrics, /events, /healthz and /debug/pprof on this address (e.g. :9090) while the run is in flight")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file (taken at exit)")
-	traceOut := flag.String("trace", "", "write a runtime execution trace to this file")
-	flag.Parse()
+	ctx, stop := cli.SignalContext()
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
+// run is socopt with its arguments, output streams and context made
+// explicit, returning the exit code: 0 on success, 1 when the run
+// fails, 2 on a usage error, 130 when ctx is cancelled (the telemetry
+// report is still written, marked run.cancelled).
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("socopt", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	design := fs.String("design", "", "built-in design name (d695, d2758, System1..System4) or path to a .soc file")
+	width := fs.Int("width", 32, "total TAM width W_TAM in wires")
+	styleName := fs.String("style", "tdc-per-core", "architecture style: no-tdc, tdc-per-tam, tdc-per-core")
+	verify := fs.Bool("verify", false, "verify the plan by cycle-accurate simulation")
+	maxTAMs := fs.Int("max-tams", 0, "cap on the number of TAM buses (0 = number of cores)")
+	bandSamples := fs.Int("band-samples", 0, "m values sampled per codeword-width band (0 = default 48, -1 = exhaustive)")
+	ateDepth := fs.Int64("ate-depth", 0, "ATE vector memory depth per channel in bits (0 = unlimited)")
+	ateFreq := fs.Float64("ate-mhz", 50, "ATE frequency in MHz for wall-clock reporting")
+	gantt := fs.Bool("gantt", false, "draw the schedule as an ASCII Gantt chart")
+	techsel := fs.Bool("techsel", false, "extend per-core choices with dictionary coding (technique selection)")
+	jsonOut := fs.String("json", "", "also write the plan as JSON to this file ('-' for stdout)")
+	var f cli.Flags
+	f.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return cli.ParseExit(err)
+	}
 	if *design == "" {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return cli.ExitUsage
 	}
-
-	// SIGINT/SIGTERM cancel the run cooperatively: the search unwinds
-	// with ctx.Err(), the telemetry snapshot is still flushed (with a
-	// run.cancelled marker), and the exit code is non-zero. A second
-	// signal kills the process immediately (stop() restores the default
-	// handlers once the first one lands).
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go func() {
-		<-ctx.Done()
-		stop()
-	}()
-
-	stopProfiles, err := telemetry.StartProfiles(*cpuProfile, *memProfile, *traceOut)
+	style, err := core.ParseStyle(*styleName)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, "socopt:", err)
+		return cli.ExitUsage
 	}
-	var sink *telemetry.Sink
-	if *telemetryOut != "" || *telemetryText || *metricsAddr != "" {
-		sink = telemetry.New()
+	cache, err := f.Cache()
+	if err != nil {
+		fmt.Fprintln(stderr, "socopt:", err)
+		return cli.ExitUsage
 	}
-	var server *telemetry.Server
-	if *metricsAddr != "" {
-		server, err = telemetry.StartServer(*metricsAddr, sink)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "socopt: serving metrics on http://%s/metrics\n", server.Addr())
-	}
-	// fail is fatal plus the interrupted-run epilogue: cancelled runs
-	// mark and flush the telemetry snapshot before exiting 130.
-	fail := func(err error) {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			sink.Counter("run.cancelled").Inc()
-			sink.PublishRun("socopt", "cancelled")
-			sink.Flush()
-			writeTelemetry(sink, *telemetryOut, *telemetryText)
-			server.ShutdownTimeout(2 * time.Second)
-			fmt.Fprintln(os.Stderr, "socopt: interrupted:", err)
-			os.Exit(130)
-		}
-		fatal(err)
-	}
-	sink.PublishRun("socopt", "start")
 
-	pt := sink.Span("parse").Begin()
+	r, err := f.Start("socopt", stdout, stderr, false, false)
+	if err != nil {
+		fmt.Fprintln(stderr, "socopt:", err)
+		return 1
+	}
+	pt := r.Sink.Span("parse").Begin()
 	s, err := loadDesign(*design)
 	pt.End()
 	if err != nil {
-		fatal(err)
+		return r.Finish(err)
 	}
-	style, err := parseStyle(*styleName)
-	if err != nil {
-		fatal(err)
-	}
-	memBytes, err := units.ParseBytes(*tableCacheMem)
-	if err != nil {
-		fatal(fmt.Errorf("-table-cache-mem: %w", err))
-	}
-	diskBytes, err := units.ParseBytes(*tableCacheSize)
-	if err != nil {
-		fatal(fmt.Errorf("-table-cache-size: %w", err))
-	}
-
 	res, err := core.OptimizeContext(ctx, s, *width, core.Options{
 		Style:      style,
 		MaxTAMs:    *maxTAMs,
-		Tables:     core.TableOptions{BandSamples: *bandSamples, EvalWindow: *evalWindow},
+		Tables:     core.TableOptions{BandSamples: *bandSamples, EvalWindow: f.EvalWindow},
 		EnableDict: *techsel,
-		Workers:    *workers,
-
-		TableCacheDir:       *tableCache,
-		TableCacheMemBytes:  memBytes,
-		TableCacheDiskBytes: diskBytes,
-		Telemetry:           sink.Root(),
+		Workers:    f.Workers,
+		Cache:      cache,
+		Telemetry:  r.Sink.Root(),
 	})
 	if err != nil {
-		fail(err)
+		return r.Finish(err)
 	}
-	printResult(res, ate.Tester{Channels: *width, MemoryDepth: *ateDepth, FreqMHz: *ateFreq})
+	if err := printResult(stdout, res, ate.Tester{Channels: *width, MemoryDepth: *ateDepth, FreqMHz: *ateFreq}); err != nil {
+		return r.Finish(err)
+	}
 
 	if *gantt {
 		items := make([]report.GanttItem, 0, len(res.Choices))
@@ -149,83 +107,29 @@ func main() {
 				Start: ch.Start, End: ch.Start + ch.Config.Time,
 			})
 		}
-		fmt.Println()
-		if err := report.Gantt(os.Stdout, "schedule", res.Partition, items, 72); err != nil {
-			fatal(err)
+		fmt.Fprintln(stdout)
+		if err := report.Gantt(stdout, "schedule", res.Partition, items, 72); err != nil {
+			return r.Finish(err)
 		}
 	}
 
 	if *jsonOut != "" {
-		w := os.Stdout
-		if *jsonOut != "-" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := res.WritePlan(w); err != nil {
-			fatal(err)
+		if err := cli.WriteFile(*jsonOut, stdout, res.WritePlan); err != nil {
+			return r.Finish(err)
 		}
 	}
 
 	if *verify {
-		fmt.Print("verifying plan by cycle-accurate simulation... ")
-		vt := sink.Span("verify").Begin()
+		fmt.Fprint(stdout, "verifying plan by cycle-accurate simulation... ")
+		vt := r.Sink.Span("verify").Begin()
 		err := sim.VerifyPlan(res)
 		vt.End()
 		if err != nil {
-			fatal(err)
+			return r.Finish(err)
 		}
-		fmt.Println("ok: all stimuli delivered bit-exactly, volumes match")
+		fmt.Fprintln(stdout, "ok: all stimuli delivered bit-exactly, volumes match")
 	}
-
-	if err := stopProfiles(); err != nil {
-		fatal(err)
-	}
-	sink.PublishRun("socopt", "done")
-	sink.Flush()
-	writeTelemetry(sink, *telemetryOut, *telemetryText)
-	// Allow a final scrape, then stop the live endpoint.
-	if serr := server.ShutdownTimeout(2 * time.Second); serr != nil {
-		fmt.Fprintln(os.Stderr, "socopt: metrics server:", serr)
-	}
-}
-
-// writeTelemetry flushes the telemetry snapshot to the -telemetry file
-// and/or as -telemetry-text on stderr. A nil sink is a no-op. It is
-// called on the success path and on interruption, so a cancelled run
-// still produces its (marked) run report.
-func writeTelemetry(sink *telemetry.Sink, out string, text bool) {
-	if sink == nil {
-		return
-	}
-	sn := sink.Snapshot()
-	if out != "" {
-		w := os.Stdout
-		if out != "-" {
-			f, err := os.Create(out)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := sn.WriteJSON(w); err != nil {
-			fatal(err)
-		}
-	}
-	if text {
-		if err := sn.Render(os.Stderr); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "socopt:", err)
-	os.Exit(1)
+	return r.Finish(nil)
 }
 
 func loadDesign(name string) (*soc.SOC, error) {
@@ -240,38 +144,29 @@ func loadDesign(name string) (*soc.SOC, error) {
 	return soc.Parse(f)
 }
 
-func parseStyle(name string) (core.Style, error) {
-	for _, s := range []core.Style{core.StyleNoTDC, core.StyleTDCPerTAM, core.StyleTDCPerCore} {
-		if s.String() == name {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown style %q", name)
-}
-
-func printResult(res *core.Result, tester ate.Tester) {
-	fmt.Printf("design %s: %d cores, style %s, W_TAM = %d\n",
+func printResult(w io.Writer, res *core.Result, tester ate.Tester) error {
+	fmt.Fprintf(w, "design %s: %d cores, style %s, W_TAM = %d\n",
 		res.SOC.Name, len(res.SOC.Cores), res.Style, res.WTAM)
-	fmt.Printf("TAM partition: %v\n", res.Partition)
-	fmt.Printf("test time: %d cycles", res.TestTime)
+	fmt.Fprintf(w, "TAM partition: %v\n", res.Partition)
+	fmt.Fprintf(w, "test time: %d cycles", res.TestTime)
 	if sec := tester.Seconds(res.TestTime); sec > 0 {
-		fmt.Printf(" (%.3f ms at %.0f MHz)", sec*1e3, tester.FreqMHz)
+		fmt.Fprintf(w, " (%.3f ms at %.0f MHz)", sec*1e3, tester.FreqMHz)
 	}
-	fmt.Println()
-	fmt.Printf("ATE stimulus volume: %s Mbit (%d bits), %d bits per channel\n",
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "ATE stimulus volume: %s Mbit (%d bits), %d bits per channel\n",
 		report.Mbits(res.Volume), res.Volume, tester.DepthPerChannel(res.Volume))
 	if tester.MemoryDepth > 0 {
 		if tester.Fits(res.Volume) {
-			fmt.Println("fits ATE vector memory without reload")
+			fmt.Fprintln(w, "fits ATE vector memory without reload")
 		} else {
-			fmt.Printf("requires %d ATE memory reloads\n", tester.Reloads(res.Volume))
+			fmt.Fprintf(w, "requires %d ATE memory reloads\n", tester.Reloads(res.Volume))
 		}
 	}
 	if res.Decompressors > 0 {
-		fmt.Printf("decompressors: %d (%d flip-flops, %d gates total)\n",
+		fmt.Fprintf(w, "decompressors: %d (%d flip-flops, %d gates total)\n",
 			res.Decompressors, res.DecompFFs, res.DecompGates)
 	}
-	fmt.Printf("CPU: %.3fs tables + %.3fs architecture search\n", res.TableSeconds, res.CPUSeconds)
+	fmt.Fprintf(w, "CPU: %.3fs tables + %.3fs architecture search\n", res.TableSeconds, res.CPUSeconds)
 
 	tab := report.NewTable("\nper-core plan (sorted by start time)",
 		"core", "bus", "start", "cycles", "mode", "w", "m", "volume (bits)")
@@ -285,7 +180,5 @@ func printResult(res *core.Result, tester ate.Tester) {
 			fmt.Sprint(ch.Config.Width), fmt.Sprint(ch.Config.M),
 			fmt.Sprint(ch.Config.Volume))
 	}
-	if err := tab.Render(os.Stdout); err != nil {
-		fatal(err)
-	}
+	return tab.Render(w)
 }

@@ -26,11 +26,9 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"soctap"
+	"soctap/internal/cli"
 	"soctap/internal/serve"
 	"soctap/internal/units"
 )
@@ -45,17 +43,16 @@ func main() {
 	burst := flag.Float64("burst", 0, "per-client burst capacity (0 = max(2*rate, 4))")
 	maxBody := flag.String("max-body", "", "largest accepted .soc upload, e.g. 8M (empty = default 8MiB)")
 	jobWorkers := flag.Int("job-workers", 0, "evaluation-engine workers per job (0 = one per CPU); also caps the ?workers override")
-	tableCache := flag.String("table-cache", "", "directory for the persistent lookup-table cache shared by all jobs")
-	tableCacheMem := flag.String("table-cache-mem", "", "in-memory table cache budget, e.g. 256M (empty = unbounded)")
-	tableCacheSize := flag.String("table-cache-size", "", "on-disk table cache budget under -table-cache, e.g. 2G (empty = unbounded)")
+	var cacheFlags cli.CacheFlags
+	cacheFlags.Register(flag.CommandLine)
 	drain := flag.Duration("drain", 30*time.Second, "how long shutdown waits for in-flight jobs before cancelling them")
 	flag.Parse()
 
 	cfg, err := buildConfig(*jobs, *queue, *timeout, *maxTimeout, *rate, *burst,
-		*maxBody, *jobWorkers, *tableCache, *tableCacheMem, *tableCacheSize)
+		*maxBody, *jobWorkers, cacheFlags)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "socserve:", err)
-		os.Exit(2)
+		os.Exit(cli.ExitUsage)
 	}
 	s := serve.New(cfg)
 
@@ -76,7 +73,7 @@ func main() {
 		BaseContext:       func(net.Listener) context.Context { return streamCtx },
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cli.SignalContext()
 	defer stop()
 
 	errCh := make(chan error, 1)
@@ -90,7 +87,6 @@ func main() {
 		log.Fatalf("socserve: %v", err)
 	case <-ctx.Done():
 	}
-	stop() // restore default handlers: a second signal kills immediately
 
 	log.Printf("socserve: draining (up to %v)", *drain)
 	drainCtx, cancelDrain := context.WithTimeout(context.Background(), *drain)
@@ -111,10 +107,11 @@ func main() {
 }
 
 // buildConfig assembles the serve.Config from the flag values,
-// including the shared bounded table cache. Split from main so the
-// translation is testable.
+// including the shared bounded table cache (nil when no cache flag is
+// set: serve.New then creates an unbounded one). Split from main so
+// the translation is testable.
 func buildConfig(jobs, queue int, timeout, maxTimeout time.Duration, rate, burst float64,
-	maxBody string, jobWorkers int, cacheDir, cacheMem, cacheDisk string) (serve.Config, error) {
+	maxBody string, jobWorkers int, cacheFlags cli.CacheFlags) (serve.Config, error) {
 	cfg := serve.Config{
 		MaxJobs:        jobs,
 		MaxQueue:       queue,
@@ -131,27 +128,7 @@ func buildConfig(jobs, queue int, timeout, maxTimeout time.Duration, rate, burst
 		}
 		cfg.MaxBodyBytes = n
 	}
-	cache := new(soctap.Cache)
-	if cacheMem != "" {
-		n, err := units.ParseBytes(cacheMem)
-		if err != nil {
-			return cfg, fmt.Errorf("-table-cache-mem: %w", err)
-		}
-		cache.SetMemLimit(n)
-	}
-	if cacheDisk != "" {
-		if cacheDir == "" {
-			return cfg, errors.New("-table-cache-size requires -table-cache")
-		}
-		n, err := units.ParseBytes(cacheDisk)
-		if err != nil {
-			return cfg, fmt.Errorf("-table-cache-size: %w", err)
-		}
-		cache.SetDiskLimit(n)
-	}
-	if cacheDir != "" {
-		cache.SetDir(cacheDir)
-	}
-	cfg.Cache = cache
-	return cfg, nil
+	var err error
+	cfg.Cache, err = cacheFlags.Cache()
+	return cfg, err
 }

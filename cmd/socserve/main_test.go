@@ -3,12 +3,14 @@ package main
 import (
 	"testing"
 	"time"
+
+	"soctap/internal/cli"
 )
 
 func TestBuildConfig(t *testing.T) {
 	dir := t.TempDir()
 	cfg, err := buildConfig(4, 16, 30*time.Second, 5*time.Minute, 10, 20,
-		"4M", 2, dir, "64M", "256M")
+		"4M", 2, cli.CacheFlags{Dir: dir, Mem: "64M", Size: "256M"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,13 +26,7 @@ func TestBuildConfig(t *testing.T) {
 }
 
 func TestBuildConfigErrors(t *testing.T) {
-	if _, err := buildConfig(0, 0, 0, 0, 0, 0, "nope", 0, "", "", ""); err == nil {
+	if _, err := buildConfig(0, 0, 0, 0, 0, 0, "nope", 0, cli.CacheFlags{}); err == nil {
 		t.Error("bad -max-body accepted")
-	}
-	if _, err := buildConfig(0, 0, 0, 0, 0, 0, "", 0, "", "12 parsecs", ""); err == nil {
-		t.Error("bad -table-cache-mem accepted")
-	}
-	if _, err := buildConfig(0, 0, 0, 0, 0, 0, "", 0, "", "", "1G"); err == nil {
-		t.Error("-table-cache-size without -table-cache accepted")
 	}
 }

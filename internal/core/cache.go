@@ -19,9 +19,9 @@ package core
 // bit-identical whatever shard their key lands on.
 //
 // Bounding: each shard carries an intrusive LRU list of its resident
-// (completed) entries. With a total budget installed (SetMemLimit /
-// Options.TableCacheMemBytes / -table-cache-mem), each shard holds its
-// 1/cacheShards share and evicts least-recently-used entries past it —
+// (completed) entries. With a total budget installed (SetMemLimit,
+// -table-cache-mem), each shard holds its 1/cacheShards share and
+// evicts least-recently-used entries past it —
 // an eviction only costs a rebuild (or a disk reload) on the next Get.
 // The zero budget keeps today's unbounded behavior. cache.bytes /
 // cache.evictions count the accounting; sizes are the tableMemBytes

@@ -17,6 +17,30 @@ import (
 	"soctap/internal/telemetry"
 )
 
+// TestCacheNegativeBandSamplesShareKey: every negative BandSamples
+// means an exhaustive band sweep, so -1 and -7 name the same table and
+// must share one cache entry (one build, the second Get a memory hit).
+func TestCacheNegativeBandSamplesShareKey(t *testing.T) {
+	cc := new(Cache)
+	var builds atomic.Int64
+	cc.buildHook = func(*soc.Core, TableOptions) { builds.Add(1) }
+	c := compressibleCore(7)
+	a, err := cc.Get(c, TableOptions{MaxWidth: 8, BandSamples: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := cc.Get(c, TableOptions{MaxWidth: 8, BandSamples: -7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := builds.Load(); n != 1 {
+		t.Errorf("%d builds for BandSamples -1 then -7, want 1", n)
+	}
+	if a != b {
+		t.Error("BandSamples -7 did not return the -1 table")
+	}
+}
+
 // TestFormatV2MatchesV1OnBenchmarks is the acceptance gate for the
 // table format on the paper's benchmark cores: on every d695 core and a
 // synthetic industrial core, the table decoded from its v2 encoding and

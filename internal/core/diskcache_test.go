@@ -243,17 +243,19 @@ func TestDiskCacheCorruptionTelemetry(t *testing.T) {
 	}
 }
 
-// TestOptimizeTableCacheDir: end-to-end through Options.TableCacheDir —
-// the second run reloads every table from disk (≈0 table time) and
-// reproduces the first run's result exactly.
+// TestOptimizeTableCacheDir: end-to-end through a Cache with SetDir —
+// a second run on a fresh in-memory cache over the same directory
+// reloads every table from disk (≈0 table time) and reproduces the
+// first run's result exactly.
 func TestOptimizeTableCacheDir(t *testing.T) {
 	dir := t.TempDir()
 	s := testSOC()
 	opts := Options{
-		Style:         StyleTDCPerCore,
-		Tables:        TableOptions{MaxWidth: 16},
-		TableCacheDir: dir,
+		Style:  StyleTDCPerCore,
+		Tables: TableOptions{MaxWidth: 16},
+		Cache:  new(Cache),
 	}
+	opts.Cache.SetDir(dir)
 	cold, err := Optimize(s, 16, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -267,6 +269,7 @@ func TestOptimizeTableCacheDir(t *testing.T) {
 	var builds atomic.Int64
 	fresh := new(Cache)
 	fresh.buildHook = func(*soc.Core, TableOptions) { builds.Add(1) }
+	fresh.SetDir(dir)
 	opts.Cache = fresh
 	warm, err := Optimize(testSOC(), 16, opts)
 	if err != nil {

@@ -51,6 +51,9 @@ func (o TableOptions) withDefaults() TableOptions {
 	if o.BandSamples == 0 {
 		o.BandSamples = 48
 	}
+	if o.BandSamples < 0 {
+		o.BandSamples = -1 // every negative value is exhaustive: one cache key
+	}
 	return o
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,6 +48,16 @@ func (s Style) String() string {
 	}
 }
 
+// ParseStyle maps a style name (see Style.String) back to its Style.
+func ParseStyle(name string) (Style, error) {
+	for _, s := range []Style{StyleNoTDC, StyleTDCPerTAM, StyleTDCPerCore} {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown style %q (want no-tdc, tdc-per-tam, tdc-per-core)", name)
+}
+
 // Options controls the SOC-level optimization.
 type Options struct {
 	Style  Style
@@ -59,7 +68,9 @@ type Options struct {
 	// MaxIterations bounds hill-climbing rounds per bus count. Zero
 	// defaults to 64.
 	MaxIterations int
-	// Cache, when non-nil, memoizes per-core lookup tables across runs.
+	// Cache, when non-nil, memoizes per-core lookup tables across runs;
+	// bound it and layer a persistent on-disk store under it with
+	// SetMemLimit, SetDiskLimit and SetDir. Nil builds every table.
 	Cache *Cache
 	// DisableRefinement turns off the wire-moving local search (ablation
 	// knob); only even partitions are considered.
@@ -86,33 +97,12 @@ type Options struct {
 	// 1 recovers the fully sequential engine. Results are bit-identical
 	// for every setting.
 	Workers int
-	// TableCacheDir, when non-empty, layers a persistent on-disk table
-	// store under the (possibly implicit) in-memory Cache: lookup tables
-	// are content-addressed by core structure and options, loaded from
-	// disk when present, and written back after a build. Corrupt, stale
-	// or truncated entries are rebuilt (observable through the telemetry
-	// counters and Cache.SetWarn).
-	TableCacheDir string
-	// TableCacheMemBytes bounds the in-memory table cache to roughly
-	// this many resident bytes (0 = unbounded): past the budget the
-	// least-recently-used tables are evicted, costing at most a disk
-	// reload or rebuild on the next request. Applies to the run's Cache
-	// (implicit or supplied).
-	TableCacheMemBytes int64
-	// TableCacheDiskBytes bounds the on-disk store under TableCacheDir
-	// to this many bytes (0 = unbounded), enforced by oldest-access
-	// eviction on write-back.
-	TableCacheDiskBytes int64
 	// Telemetry, when non-nil, is the parent span this run records
 	// under: phase spans (tables with one child per core, search with
 	// k-sweep/refine/merge children, schedule) plus the subsystem
 	// counters registered on the span's sink. Nil disables all
 	// instrumentation at zero cost.
 	Telemetry *telemetry.Span
-	// TelemetryWriter, when non-nil, receives the telemetry snapshot as
-	// deterministic JSON after a successful run. If Telemetry is nil a
-	// private sink is created for the run.
-	TelemetryWriter io.Writer
 }
 
 // CoreChoice reports the configuration chosen for one core.
@@ -194,23 +184,6 @@ func OptimizeContext(ctx context.Context, s *soc.SOC, wtam int, opts Options) (r
 
 	if tabOpts.Workers == 0 {
 		tabOpts.Workers = opts.Workers
-	}
-	if opts.TableCacheDir != "" || opts.TableCacheMemBytes > 0 || opts.TableCacheDiskBytes > 0 {
-		if opts.Cache == nil {
-			opts.Cache = new(Cache)
-		}
-		if opts.TableCacheMemBytes > 0 {
-			opts.Cache.SetMemLimit(opts.TableCacheMemBytes)
-		}
-		if opts.TableCacheDiskBytes > 0 {
-			opts.Cache.SetDiskLimit(opts.TableCacheDiskBytes)
-		}
-		if opts.TableCacheDir != "" {
-			opts.Cache.SetDir(opts.TableCacheDir)
-		}
-	}
-	if opts.TelemetryWriter != nil && opts.Telemetry == nil {
-		opts.Telemetry = telemetry.New().Root()
 	}
 	tel := opts.Telemetry
 	defer func() {
@@ -319,11 +292,6 @@ func OptimizeContext(ctx context.Context, s *soc.SOC, wtam int, opts Options) (r
 		CPUSeconds:   cpuSeconds,
 	}
 	fillDetails(res, selectors)
-	if opts.TelemetryWriter != nil {
-		if err := tel.Sink().Snapshot().WriteJSON(opts.TelemetryWriter); err != nil {
-			return nil, fmt.Errorf("core: writing telemetry: %w", err)
-		}
-	}
 	return res, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"soctap/internal/soc"
@@ -191,6 +192,26 @@ func TestStyleString(t *testing.T) {
 	}
 	if Style(99).String() == "" {
 		t.Error("unknown style empty")
+	}
+}
+
+func TestParseStyle(t *testing.T) {
+	for _, want := range []Style{StyleNoTDC, StyleTDCPerTAM, StyleTDCPerCore} {
+		if got, err := ParseStyle(want.String()); err != nil || got != want {
+			t.Errorf("ParseStyle(%q) = %v, %v", want.String(), got, err)
+		}
+	}
+	for _, bad := range []string{"bogus", "", "Style(99)"} {
+		_, err := ParseStyle(bad)
+		if err == nil {
+			t.Errorf("ParseStyle(%q) accepted", bad)
+			continue
+		}
+		for _, name := range []string{"no-tdc", "tdc-per-tam", "tdc-per-core"} {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("ParseStyle(%q) error %q does not list %q", bad, err, name)
+			}
+		}
 	}
 }
 

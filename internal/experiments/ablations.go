@@ -27,8 +27,8 @@ type AblationResult struct {
 // Ablations runs the four design-choice ablations on the benchmark
 // suite (see DESIGN.md §5 and the benchmark harness, which reports the
 // same quantities as bench metrics).
-func Ablations() (*AblationResult, error) {
-	defer expSpan("ablations").End()
+func (e *Env) Ablations() (*AblationResult, error) {
+	defer e.begin("ablations").End()
 	res := &AblationResult{}
 
 	// 1. Group-copy mode of the codec (per-core volume, ckt-9, m=255).
@@ -56,17 +56,13 @@ func Ablations() (*AblationResult, error) {
 	}
 
 	// 2. Within-band best-m exploration vs band maximum.
-	full, err := core.OptimizeContext(expContext(), sys1, 32, core.Options{
-		Style: core.StyleTDCPerCore, Cache: &sharedCache, Workers: engineWorkers, Telemetry: telSpan,
-		Tables: engineTables(core.TableOptions{MaxWidth: 32, BandSamples: 48}),
-	})
+	full, err := e.optimize(sys1, 32, core.Options{Style: core.StyleTDCPerCore,
+		Tables: core.TableOptions{MaxWidth: 32, BandSamples: 48}})
 	if err != nil {
 		return nil, err
 	}
-	bandMax, err := core.OptimizeContext(expContext(), sys1, 32, core.Options{
-		Style: core.StyleTDCPerCore, Cache: &sharedCache, Workers: engineWorkers, Telemetry: telSpan,
-		Tables: engineTables(core.TableOptions{MaxWidth: 32, BandSamples: 1}),
-	})
+	bandMax, err := e.optimize(sys1, 32, core.Options{Style: core.StyleTDCPerCore,
+		Tables: core.TableOptions{MaxWidth: 32, BandSamples: 1}})
 	if err != nil {
 		return nil, err
 	}
@@ -77,17 +73,13 @@ func Ablations() (*AblationResult, error) {
 	})
 
 	// 3. TAM-partition refinement vs even splits (prime budget).
-	refined, err := core.OptimizeContext(expContext(), sys1, 37, core.Options{
-		Style: core.StyleTDCPerCore, Cache: &sharedCache, Workers: engineWorkers, Telemetry: telSpan,
-		Tables: engineTables(core.TableOptions{MaxWidth: 37}),
-	})
+	refined, err := e.optimize(sys1, 37, core.Options{Style: core.StyleTDCPerCore,
+		Tables: core.TableOptions{MaxWidth: 37}})
 	if err != nil {
 		return nil, err
 	}
-	even, err := core.OptimizeContext(expContext(), sys1, 37, core.Options{
-		Style: core.StyleTDCPerCore, Cache: &sharedCache, Workers: engineWorkers, Telemetry: telSpan,
-		Tables: engineTables(core.TableOptions{MaxWidth: 37}), DisableRefinement: true,
-	})
+	even, err := e.optimize(sys1, 37, core.Options{Style: core.StyleTDCPerCore,
+		Tables: core.TableOptions{MaxWidth: 37}, DisableRefinement: true})
 	if err != nil {
 		return nil, err
 	}
@@ -102,17 +94,13 @@ func Ablations() (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	lpt, err := core.OptimizeContext(expContext(), sys2, 32, core.Options{
-		Style: core.StyleTDCPerCore, Cache: &sharedCache, Workers: engineWorkers, Telemetry: telSpan,
-		Tables: engineTables(core.TableOptions{MaxWidth: tableWidth}),
-	})
+	lpt, err := e.optimize(sys2, 32, core.Options{Style: core.StyleTDCPerCore,
+		Tables: core.TableOptions{MaxWidth: tableWidth}})
 	if err != nil {
 		return nil, err
 	}
-	naive, err := core.OptimizeContext(expContext(), sys2, 32, core.Options{
-		Style: core.StyleTDCPerCore, Cache: &sharedCache, Workers: engineWorkers, Telemetry: telSpan,
-		Tables: engineTables(core.TableOptions{MaxWidth: tableWidth}), NaiveOrder: true,
-	})
+	naive, err := e.optimize(sys2, 32, core.Options{Style: core.StyleTDCPerCore,
+		Tables: core.TableOptions{MaxWidth: tableWidth}, NaiveOrder: true})
 	if err != nil {
 		return nil, err
 	}
@@ -145,18 +133,16 @@ type VerifyResult struct {
 // Verify optimizes d695 and System1 with the proposed style and replays
 // every core's chosen configuration through the bit-level simulator —
 // the repository's end-to-end trust check.
-func Verify() (*VerifyResult, error) {
-	defer expSpan("verify").End()
+func (e *Env) Verify() (*VerifyResult, error) {
+	defer e.begin("verify").End()
 	out := &VerifyResult{}
 	for _, name := range []string{"d695", "System1"} {
 		s, ok := soc.AllBenchmarks()[name]
 		if !ok {
 			return nil, fmt.Errorf("unknown design %s", name)
 		}
-		res, err := core.OptimizeContext(expContext(), s, 32, core.Options{
-			Style: core.StyleTDCPerCore, Cache: &sharedCache, Workers: engineWorkers, Telemetry: telSpan,
-			Tables: engineTables(core.TableOptions{MaxWidth: tableWidth}),
-		})
+		res, err := e.optimize(s, 32, core.Options{Style: core.StyleTDCPerCore,
+			Tables: core.TableOptions{MaxWidth: tableWidth}})
 		if err != nil {
 			return nil, err
 		}

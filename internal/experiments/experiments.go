@@ -12,111 +12,108 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"io"
 
 	"soctap/internal/core"
+	"soctap/internal/soc"
 	"soctap/internal/telemetry"
 )
 
-// sharedCache is used by default so that consecutive experiments (and
-// benchmark iterations) reuse per-core lookup tables.
-var sharedCache core.Cache
+// Env is what every experiment run shares: the context that can cancel
+// it, the table cache that lets consecutive experiments reuse per-core
+// lookup tables, the evaluation-engine bounds, and the telemetry sink.
+// The zero Env is ready to use. Experiments on one Env run one at a
+// time.
+type Env struct {
+	// Ctx governs every run: cancelling it aborts in-flight
+	// Optimize/BuildTable/Sweep calls with ctx.Err(). Nil means
+	// context.Background() (the core entry points accept a nil ctx).
+	Ctx context.Context
+	// Cache memoizes lookup tables across experiments; nil is replaced
+	// by a fresh unbounded cache on first use.
+	Cache *core.Cache
+	// Workers bounds the engine's parallelism (0 = one worker per CPU,
+	// 1 = sequential) and EvalWindow its streaming window (0 = automatic
+	// by core size). Results are bit-identical for every setting.
+	Workers    int
+	EvalWindow int
+	// Sink receives each experiment's phase spans and the subsystem
+	// counters; nil disables instrumentation at zero cost.
+	Sink *telemetry.Sink
 
-// SharedCache exposes the process-wide table cache.
-func SharedCache() *core.Cache { return &sharedCache }
-
-// engineWorkers bounds the evaluation-engine parallelism used by every
-// experiment; 0 means one worker per available CPU (the engine
-// default). Results are bit-identical for every setting.
-var engineWorkers int
-
-// SetWorkers bounds the evaluation-engine parallelism of subsequent
-// experiment runs (0 = one worker per CPU, 1 = fully sequential). Call
-// it before launching experiments; cmd/repro wires its -workers flag
-// here.
-func SetWorkers(n int) { engineWorkers = n }
-
-// engineEvalWindow selects the evaluator residency mode of every
-// experiment's table builds (see core.TableOptions.EvalWindow); 0 (the
-// default) picks automatically by core size. Results are bit-identical
-// for every setting.
-var engineEvalWindow int
-
-// SetEvalWindow selects the evaluator streaming window of subsequent
-// experiment runs (0 = automatic by core size, > 0 = stream in windows
-// of that many cubes, -1 = whole set as one window). Call it before
-// launching experiments; cmd/repro wires its -eval-window flag here.
-func SetEvalWindow(window int) { engineEvalWindow = window }
-
-// engineTables stamps the process-wide engine knobs onto an
-// experiment's TableOptions literal, so every table build in the
-// package honours SetEvalWindow without threading it through each
-// call site.
-func engineTables(o core.TableOptions) core.TableOptions {
-	o.EvalWindow = engineEvalWindow
-	return o
+	span *telemetry.Span // span of the experiment currently running
 }
 
-// SetTableCacheDir layers a persistent on-disk store under the shared
-// table cache: tables built by any experiment are written there and
-// reloaded on later runs, so a warm directory reduces the regeneration
-// time of every table to its search time. cmd/repro wires its
-// -table-cache flag here.
-func SetTableCacheDir(dir string) { sharedCache.SetDir(dir) }
-
-// SetTableCacheLimits bounds the shared table cache: memBytes caps the
-// in-memory tier (LRU eviction of resident tables), diskBytes caps the
-// on-disk store under SetTableCacheDir (oldest-access eviction on
-// write-back). Zero leaves the respective tier unbounded. cmd/repro
-// wires its -table-cache-mem/-table-cache-size flags here.
-func SetTableCacheLimits(memBytes, diskBytes int64) {
-	if memBytes > 0 {
-		sharedCache.SetMemLimit(memBytes)
-	}
-	if diskBytes > 0 {
-		sharedCache.SetDiskLimit(diskBytes)
-	}
+// Renderer is the common shape of every experiment result: it draws
+// itself in the paper's layout.
+type Renderer interface {
+	Render(io.Writer) error
 }
 
-// telSink receives phase spans and counters from every subsequent
-// experiment run; nil (the default) disables instrumentation at zero
-// cost. cmd/repro wires its -telemetry/-telemetry-text flags here.
-var telSink *telemetry.Sink
-
-// telSpan is the span of the experiment currently running; core.Optimize
-// calls nest their phase trees (tables/search/schedule) under it.
-// Experiments run sequentially, so a single current-span is enough.
-var telSpan *telemetry.Span
-
-// SetTelemetry routes phase spans and subsystem counters of subsequent
-// experiment runs into sink (nil turns instrumentation back off).
-func SetTelemetry(sink *telemetry.Sink) { telSink = sink }
-
-// runCtx governs every subsequent experiment run; nil (the default)
-// behaves like context.Background().
-var runCtx context.Context
-
-// SetContext makes ctx govern every subsequent experiment run:
-// cancelling it aborts in-flight Optimize/BuildTable/Sweep calls with
-// ctx.Err(). cmd/repro wires its SIGINT/SIGTERM context here. Call it
-// before launching experiments; nil restores context.Background().
-func SetContext(ctx context.Context) { runCtx = ctx }
-
-// expContext resolves the context experiment runs use.
-func expContext() context.Context {
-	if runCtx == nil {
-		return context.Background()
-	}
-	return runCtx
+// catalog lists every experiment, in the order "all" runs them.
+var catalog = []struct {
+	name string
+	run  func(*Env) (Renderer, error)
+}{
+	{"fig2", func(e *Env) (Renderer, error) { return e.Fig2() }},
+	{"fig3", func(e *Env) (Renderer, error) { return e.Fig3() }},
+	{"fig4", func(e *Env) (Renderer, error) { return e.Fig4() }},
+	{"tab1", func(e *Env) (Renderer, error) { return e.Tab1() }},
+	{"tab2", func(e *Env) (Renderer, error) { return e.Tab2() }},
+	{"tab3", func(e *Env) (Renderer, error) { return e.Tab3() }},
+	{"ablations", func(e *Env) (Renderer, error) { return e.Ablations() }},
+	{"techsel", func(e *Env) (Renderer, error) { return e.TechSel() }},
+	{"seeds", func(e *Env) (Renderer, error) { return e.Seeds() }},
+	{"verify", func(e *Env) (Renderer, error) { return e.Verify() }},
 }
 
-// expSpan opens the top-level span for one experiment run and makes it
+// Names lists every experiment name, in the order "all" runs them.
+func Names() []string {
+	names := make([]string, len(catalog))
+	for i, x := range catalog {
+		names[i] = x.name
+	}
+	return names
+}
+
+// Run runs the named experiment.
+func (e *Env) Run(name string) (Renderer, error) {
+	for _, x := range catalog {
+		if x.name == name {
+			return x.run(e)
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q", name)
+}
+
+// cache returns the shared table cache, creating it on first use.
+func (e *Env) cache() *core.Cache {
+	if e.Cache == nil {
+		e.Cache = new(core.Cache)
+	}
+	return e.Cache
+}
+
+// begin opens the top-level span for one experiment run and makes it
 // the parent of every Optimize call until the returned timing is Ended:
 //
-//	defer expSpan("tab3").End()
-func expSpan(name string) telemetry.Timing {
-	telSink.PublishRun("experiment:"+name, "start") // live run marker on the event bus
-	telSpan = telSink.Span(name)                    // nil sink → nil span → all no-ops
-	return telSpan.Begin()
+//	defer e.begin("tab3").End()
+func (e *Env) begin(name string) telemetry.Timing {
+	e.Sink.PublishRun("experiment:"+name, "start") // live run marker on the event bus
+	e.span = e.Sink.Span(name)                     // nil sink → nil span → all no-ops
+	return e.span.Begin()
+}
+
+// optimize runs core.OptimizeContext under the Env: it stamps the
+// Env's cache, engine bounds and current span onto the experiment's
+// Options literal.
+func (e *Env) optimize(s *soc.SOC, wtam int, o core.Options) (*core.Result, error) {
+	o.Cache = e.cache()
+	o.Workers = e.Workers
+	o.Telemetry = e.span
+	o.Tables.EvalWindow = e.EvalWindow
+	return core.OptimizeContext(e.Ctx, s, wtam, o)
 }
 
 // tableWidth is the lookup-table width used across experiments: wide

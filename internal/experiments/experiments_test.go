@@ -7,12 +7,48 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"strings"
 	"testing"
 )
 
+// testEnv is shared by the tests so that they reuse each other's
+// lookup tables, as the experiments of one repro run do.
+var testEnv = &Env{}
+
+// TestCatalog: the catalog names every experiment exactly once, every
+// name dispatches, and an unknown name is an error.
+func TestCatalog(t *testing.T) {
+	names := Names()
+	seen := map[string]bool{}
+	for _, n := range names {
+		if seen[n] {
+			t.Errorf("%q listed twice", n)
+		}
+		seen[n] = true
+	}
+	want := "fig2 fig3 fig4 tab1 tab2 tab3 ablations techsel seeds verify"
+	if got := strings.Join(names, " "); got != want {
+		t.Errorf("Names() = %s, want %s", got, want)
+	}
+	if _, err := (&Env{}).Run("fig9"); err == nil {
+		t.Error("Run accepted an unknown name")
+	}
+	// Every name dispatches: under a cancelled context each experiment
+	// that reaches the engine stops with ctx.Err(), so none is unknown.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	env := &Env{Ctx: ctx}
+	for _, n := range names {
+		if _, err := env.Run(n); err != nil && !errors.Is(err, context.Canceled) {
+			t.Errorf("Run(%q) under a cancelled context: %v", n, err)
+		}
+	}
+}
+
 func TestFig2ShapeClaims(t *testing.T) {
-	r, err := Fig2()
+	r, err := testEnv.Fig2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +73,7 @@ func TestFig2ShapeClaims(t *testing.T) {
 }
 
 func TestFig3ShapeClaims(t *testing.T) {
-	r, err := Fig3()
+	r, err := testEnv.Fig3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +103,7 @@ func TestFig3ShapeClaims(t *testing.T) {
 }
 
 func TestFig4ShapeClaims(t *testing.T) {
-	r, err := Fig4()
+	r, err := testEnv.Fig4()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +131,7 @@ func TestTab1ShapeClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table experiments are heavyweight")
 	}
-	r, err := Tab1()
+	r, err := testEnv.Tab1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +160,7 @@ func TestTab2ShapeClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table experiments are heavyweight")
 	}
-	r, err := Tab2()
+	r, err := testEnv.Tab2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +187,7 @@ func TestTab3ShapeClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table experiments are heavyweight")
 	}
-	r, err := Tab3()
+	r, err := testEnv.Tab3()
 	if err != nil {
 		t.Fatal(err)
 	}

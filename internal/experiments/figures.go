@@ -29,8 +29,8 @@ type Fig2Result struct {
 }
 
 // Fig2 sweeps every m in the w=10 band for ckt-7.
-func Fig2() (*Fig2Result, error) {
-	defer expSpan("fig2").End()
+func (e *Env) Fig2() (*Fig2Result, error) {
+	defer e.begin("fig2").End()
 	c, err := soc.IndustrialCore("ckt-7")
 	if err != nil {
 		return nil, err
@@ -39,7 +39,7 @@ func Fig2() (*Fig2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfgs, err := core.SweepTDCContext(expContext(), c, lo, hi, engineWorkers)
+	cfgs, err := core.SweepTDCContext(e.Ctx, c, lo, hi, e.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -91,14 +91,14 @@ type Fig3Result struct {
 
 // Fig3 finds, for each TAM width w, the best m in w's band for ckt-7,
 // using the same banded exploration the optimizer's lookup tables use.
-func Fig3() (*Fig3Result, error) {
-	defer expSpan("fig3").End()
+func (e *Env) Fig3() (*Fig3Result, error) {
+	defer e.begin("fig3").End()
 	c, err := soc.IndustrialCore("ckt-7")
 	if err != nil {
 		return nil, err
 	}
-	tab, err := sharedCache.GetInstrumentedContext(expContext(), c,
-		engineTables(core.TableOptions{MaxWidth: tableWidth, Workers: engineWorkers}), telSink)
+	tab, err := e.cache().GetInstrumentedContext(e.Ctx, c,
+		core.TableOptions{MaxWidth: tableWidth, Workers: e.Workers, EvalWindow: e.EvalWindow}, e.Sink)
 	if err != nil {
 		return nil, err
 	}
@@ -157,16 +157,13 @@ type Fig4Result struct {
 var styleOrder = [3]core.Style{core.StyleNoTDC, core.StyleTDCPerTAM, core.StyleTDCPerCore}
 
 // Fig4 optimizes the Figure 4 SOC under each architecture style.
-func Fig4() (*Fig4Result, error) {
-	defer expSpan("fig4").End()
+func (e *Env) Fig4() (*Fig4Result, error) {
+	defer e.begin("fig4").End()
 	s := soc.Figure4SOC()
 	r := &Fig4Result{WTAM: 31}
 	for i, style := range styleOrder {
-		res, err := core.OptimizeContext(expContext(), s, r.WTAM, core.Options{
-			Style:  style,
-			Tables: engineTables(core.TableOptions{MaxWidth: tableWidth}),
-			Cache:  &sharedCache, Workers: engineWorkers, Telemetry: telSpan,
-		})
+		res, err := e.optimize(s, r.WTAM, core.Options{Style: style,
+			Tables: core.TableOptions{MaxWidth: tableWidth}})
 		if err != nil {
 			return nil, err
 		}

@@ -30,24 +30,19 @@ type TechSelResult struct {
 
 // TechSel compares SOC plans with and without the dictionary codec in
 // the per-core choice set.
-func TechSel() (*TechSelResult, error) {
-	defer expSpan("techsel").End()
+func (e *Env) TechSel() (*TechSelResult, error) {
+	defer e.begin("techsel").End()
 	r := &TechSelResult{}
 	designs := []*soc.SOC{soc.D695(), soc.MustSystem("System1")}
 	for _, design := range designs {
 		for _, wtam := range []int{16, 32} {
-			plain, err := core.OptimizeContext(expContext(), design, wtam, core.Options{
-				Style: core.StyleTDCPerCore, Cache: &sharedCache, Workers: engineWorkers, Telemetry: telSpan,
-				Tables: engineTables(core.TableOptions{MaxWidth: tableWidth}),
-			})
+			plain, err := e.optimize(design, wtam, core.Options{Style: core.StyleTDCPerCore,
+				Tables: core.TableOptions{MaxWidth: tableWidth}})
 			if err != nil {
 				return nil, err
 			}
-			sel, err := core.OptimizeContext(expContext(), design, wtam, core.Options{
-				Style: core.StyleTDCPerCore, Cache: &sharedCache, Workers: engineWorkers, Telemetry: telSpan,
-				Tables:     engineTables(core.TableOptions{MaxWidth: tableWidth}),
-				EnableDict: true, DictSizes: []int{64, 256},
-			})
+			sel, err := e.optimize(design, wtam, core.Options{Style: core.StyleTDCPerCore,
+				Tables: core.TableOptions{MaxWidth: tableWidth}, EnableDict: true, DictSizes: []int{64, 256}})
 			if err != nil {
 				return nil, err
 			}

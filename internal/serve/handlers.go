@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"soctap"
+	"soctap/internal/core"
 	"soctap/internal/telemetry"
 )
 
@@ -302,20 +303,12 @@ func (s *Server) parseJob(r *http.Request) (*jobRequest, error) {
 		return nil, errors.New("width parameter required (total TAM wires, > 0)")
 	}
 
-	style := soctap.StyleTDCPerCore
+	req.opts.Style = soctap.StyleTDCPerCore
 	if name := q.Get("style"); name != "" {
-		found := false
-		for _, st := range []soctap.Style{soctap.StyleNoTDC, soctap.StyleTDCPerTAM, soctap.StyleTDCPerCore} {
-			if st.String() == name {
-				style, found = st, true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown style %q (want no-tdc, tdc-per-tam, tdc-per-core)", name)
+		if req.opts.Style, err = core.ParseStyle(name); err != nil {
+			return nil, err
 		}
 	}
-	req.opts.Style = style
 
 	if req.opts.MaxTAMs, err = intParam(q.Get("max-tams"), 0); err != nil {
 		return nil, fmt.Errorf("max-tams: %w", err)
