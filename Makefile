@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-short bench-smoke bench-json bench-big bench-big-smoke bench-compare telemetry-overhead kernel-equivalence fused-equivalence robustness cachefmt obs serve cli
+.PHONY: check vet build test race bench bench-short bench-smoke bench-json bench-big bench-big-smoke bench-compare telemetry-overhead kernel-equivalence generator-golden fused-equivalence robustness cachefmt obs serve cli
 
 # check is the tier-1 gate: everything must pass before a change lands.
 # A PR that touches the kernels or the sweep should also refresh the
 # dated benchmark archive with `make bench-json` and note the numbers.
-check: vet build test race bench-smoke bench-big-smoke telemetry-overhead kernel-equivalence fused-equivalence robustness cachefmt obs serve cli
+check: vet build test race bench-smoke bench-big-smoke telemetry-overhead kernel-equivalence generator-golden fused-equivalence robustness cachefmt obs serve cli
 
 vet:
 	$(GO) vet ./...
@@ -28,7 +28,8 @@ bench:
 	$(GO) test -bench . -benchmem ./...
 
 # bench-short runs only the fast engine benchmarks — the tdcCost
-# kernel and the serial-vs-parallel table build.
+# kernel (one-word and wide slice rows) and the serial-vs-parallel
+# table build.
 bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkTDCCostKernel|BenchmarkBuildTable' -benchmem ./internal/core
 
@@ -37,14 +38,20 @@ bench-short:
 # the tier-1 gate (no timing is measured at -benchtime=1x).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTDCCostKernel|BenchmarkBuildTableSerial|BenchmarkBuildTableParallel' -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkGenerate' -benchtime 1x ./internal/cube
 	$(GO) test -run '^$$' -bench 'BenchmarkGreedySchedule|BenchmarkGreedy50Cores' -benchtime 1x ./internal/sched
 	$(GO) test -run '^$$' -bench 'BenchmarkOptimizeSearch' -benchtime 1x .
 
 # bench-json archives the four headline benchmarks as a dated,
 # machine-readable report (BENCH_<yyyy-mm-dd>.json): per-op time plus
-# alloc stats and any custom metrics, parsed by cmd/benchjson.
+# alloc stats and any custom metrics, parsed by cmd/benchjson. The
+# layer tier — the tdcCost kernel at one-word and wide slice rows, and
+# cube generation in flat and scan geometry — records five samples
+# each (benchjson -compare compares their medians).
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkFig2CktSweep$$|BenchmarkTab3WithWithoutTDC$$|BenchmarkOptimizeSearch$$' -benchtime 1x -benchmem . ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkTDCCostKernel$$|BenchmarkTDCCostKernelWide$$' -count 5 -benchmem ./internal/core ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkGenerateIndustrial$$|BenchmarkGenerateScan$$' -count 5 -benchmem ./internal/cube ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGreedySchedule$$' -benchtime 1x -benchmem ./internal/sched ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDiskLoad$$|BenchmarkCacheGetParallel' -benchmem ./internal/core ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkServeOptimizeWarm$$' -benchmem ./internal/serve ; } \
@@ -72,20 +79,31 @@ bench-big-smoke:
 	$(GO) test -run 'TestStreamingPeakMemorySmoke|TestFusedCountersWorkerInvariance' -count=1 ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamGiantSweep$$|BenchmarkFusedGiantTable$$' -benchtime 1x -short ./internal/core
 
-# kernel-equivalence asserts the word-parallel kernel and sweep-pruning
-# exactness contracts: both plane-building strategies agree with each
-# other (forced through the one kernel preparation, including a
-# dense→sparse flip mid-pass) and with the real encoder, pruned band
+# kernel-equivalence asserts the slice-cost kernel and sweep-pruning
+# exactness contracts: both pricing strategies agree with each other
+# (forced through the one kernel preparation, including a dense→sparse
+# flip mid-pass) and with the real encoder, the sparse counter kernel
+# alone matches the real encoder across slice-width edges (m = 1, k ∤ m,
+# one- and multi-word rows), both group-copy settings and hand-built
+# fill edge cubes, pruned band
 # winners equal an unpruned sweep's on every d695/industrial core,
 # steady-state tdcCost runs at 0 allocs/op on both strategies, the
 # evaluator primitives price identically at every window (including the
 # window-boundary fuzz seeds), negative windows are rejected, and the
 # fuzz seed corpora for the word and codec kernels still pass.
 kernel-equivalence:
-	$(GO) test -run 'TestKernelPathsAgree|TestKernelSteadyStateZeroAlloc|TestBuildTablePruningGoldenEquivalence|TestEvalTDCMatchesRealEncoder' -count=1 ./internal/core
+	$(GO) test -run 'TestKernelPathsAgree|TestKernelSteadyStateZeroAlloc|TestBuildTablePruningGoldenEquivalence|TestEvalTDCMatchesRealEncoder|TestSparseKernelMatchesEncoder' -count=1 ./internal/core
 	$(GO) test -run 'TestStreamingEvaluatorEquivalence|TestEvalWindowValidation|TestStreamingWindowTelemetry|FuzzStreamingWindowEquivalence' -count=1 ./internal/core
 	$(GO) test -run 'FuzzWordKernels' -count=1 ./internal/bitvec
 	$(GO) test -run 'FuzzEncodeDecodeRoundTrip|FuzzDecodeStream' -count=1 ./internal/selenc
+
+# generator-golden pins the synthetic cube generator bit for bit: the
+# (Pos, Value) streams of a scan-geometry spec with IO cells, a flat
+# spec, a saturating spec (Density 1, so the linear fill runs) and the
+# first 2,000 cubes of a giant-profile core hash to checked-in digests.
+# Every table digest downstream rests on this stream.
+generator-golden:
+	$(GO) test -run 'TestGeneratorGoldenDigests|TestGeneratorMatchesGenerate' -count=1 ./internal/cube
 
 # fused-equivalence asserts the exactness contracts of table pricing
 # under the race detector: every table of the golden matrix (each d695

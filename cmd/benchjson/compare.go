@@ -5,8 +5,12 @@ package main
 // whose unit implies a direction (ns/op is lower-is-better, cores/s is
 // higher-is-better) regress when they move the wrong way by more than
 // -threshold; directionless metrics are reported but never fail the
-// comparison. The exit code is the contract `make bench-compare` keys
-// on: 0 clean, 1 when any metric regressed.
+// comparison. Benchmarks match by name, and by package too when both
+// reports record it (archives before pkg stamping carry none); repeated
+// samples of one benchmark (-count N) compare by their per-metric
+// median. The exit code is the contract `make bench-compare` keys on:
+// 0 clean, 1 when any metric regressed or when no benchmark matched at
+// all — a compare that compared nothing must never read as clean.
 
 import (
 	"encoding/json"
@@ -14,6 +18,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strings"
 )
 
@@ -78,8 +83,55 @@ func (r metricRow) regressed(threshold float64) bool {
 	return false
 }
 
-// benchKey identifies a benchmark across reports.
-func benchKey(b Benchmark) string { return b.Pkg + " " + b.Name }
+// sameBench reports whether two results are the same benchmark: equal
+// names, and equal packages unless either side has none.
+func sameBench(a, b Benchmark) bool {
+	return a.Name == b.Name && (a.Pkg == "" || b.Pkg == "" || a.Pkg == b.Pkg)
+}
+
+// medianSamples collapses repeated samples of one benchmark (the lines
+// of a -count N run share pkg and name) into one result holding the
+// per-metric median, keeping first-appearance order.
+func medianSamples(bs []Benchmark) []Benchmark {
+	var out []Benchmark
+	var groups [][]Benchmark
+	for _, b := range bs {
+		i := slices.IndexFunc(out, func(o Benchmark) bool { return o.Pkg == b.Pkg && o.Name == b.Name })
+		if i < 0 {
+			out = append(out, b)
+			groups = append(groups, nil)
+			i = len(out) - 1
+		}
+		groups[i] = append(groups[i], b)
+	}
+	for i, g := range groups {
+		if len(g) == 1 {
+			continue
+		}
+		med := func(f func(Benchmark) float64) float64 {
+			vs := make([]float64, len(g))
+			for j, b := range g {
+				vs[j] = f(b)
+			}
+			slices.Sort(vs)
+			if n := len(vs); n%2 == 0 {
+				return (vs[n/2-1] + vs[n/2]) / 2
+			}
+			return vs[len(vs)/2]
+		}
+		m := &out[i]
+		m.NsPerOp = med(func(b Benchmark) float64 { return b.NsPerOp })
+		m.BytesPerOp = int64(med(func(b Benchmark) float64 { return float64(b.BytesPerOp) }))
+		m.AllocsPerOp = int64(med(func(b Benchmark) float64 { return float64(b.AllocsPerOp) }))
+		m.PeakBytes = int64(med(func(b Benchmark) float64 { return float64(b.PeakBytes) }))
+		metrics := make(map[string]float64, len(m.Metrics))
+		for unit := range m.Metrics {
+			metrics[unit] = med(func(b Benchmark) float64 { return b.Metrics[unit] })
+		}
+		m.Metrics = metrics
+	}
+	return out
+}
 
 // benchRows flattens one old/new benchmark pair into comparable metric
 // rows. Fields that are zero on both sides are skipped (the benchmark
@@ -110,27 +162,26 @@ func benchRows(old, new Benchmark) []metricRow {
 }
 
 // runCompare diffs two reports, writing the per-metric table to w, and
-// returns the number of regressed metrics. Benchmarks present in only
-// one report are noted but not failed.
+// returns the number of failures: regressed metrics, plus one when no
+// benchmark of new has a baseline in old. Benchmarks present in only
+// one report are noted but not failed, as long as some benchmark
+// matched.
 func runCompare(old, new Report, threshold float64, w io.Writer) int {
-	oldBy := make(map[string]Benchmark, len(old.Benchmarks))
-	for _, b := range old.Benchmarks {
-		oldBy[benchKey(b)] = b
-	}
+	olds, news := medianSamples(old.Benchmarks), medianSamples(new.Benchmarks)
 	fmt.Fprintf(w, "comparing %s (%s) -> %s (%s), threshold %.0f%%\n",
 		old.Date, revOr(old.VCSRevision, "unknown rev"),
 		new.Date, revOr(new.VCSRevision, "unknown rev"), threshold*100)
 
 	regressions := 0
-	matched := make(map[string]bool, len(new.Benchmarks))
-	for _, nb := range new.Benchmarks {
-		ob, ok := oldBy[benchKey(nb)]
-		if !ok {
+	matched := make([]bool, len(olds))
+	for _, nb := range news {
+		i := slices.IndexFunc(olds, func(ob Benchmark) bool { return sameBench(ob, nb) })
+		if i < 0 {
 			fmt.Fprintf(w, "  new benchmark (no baseline): %s\n", nb.Name)
 			continue
 		}
-		matched[benchKey(nb)] = true
-		for _, r := range benchRows(ob, nb) {
+		matched[i] = true
+		for _, r := range benchRows(olds[i], nb) {
 			verdict := ""
 			switch {
 			case r.regressed(threshold):
@@ -143,14 +194,19 @@ func runCompare(old, new Report, threshold float64, w io.Writer) int {
 				r.bench, r.unit, r.old, r.new, fmtDelta(r.delta()), verdict)
 		}
 	}
-	for _, ob := range old.Benchmarks {
-		if !matched[benchKey(ob)] {
+	for i, ob := range olds {
+		if !matched[i] {
 			fmt.Fprintf(w, "  benchmark disappeared: %s\n", ob.Name)
 		}
 	}
-	if regressions > 0 {
+	switch {
+	case !slices.Contains(matched, true):
+		fmt.Fprintf(w, "FAIL: no benchmark of the new report (%d) matches one of the old report (%d); nothing was compared\n",
+			len(news), len(olds))
+		return regressions + 1
+	case regressions > 0:
 		fmt.Fprintf(w, "FAIL: %d metric(s) regressed beyond %.0f%%\n", regressions, threshold*100)
-	} else {
+	default:
 		fmt.Fprintf(w, "ok: no metric regressed beyond %.0f%%\n", threshold*100)
 	}
 	return regressions
@@ -184,7 +240,7 @@ func loadReport(path string) (Report, error) {
 }
 
 // compareMain is the -compare entry point: load both archives, diff,
-// and exit 1 on any regression.
+// and exit 1 on any failure.
 func compareMain(oldPath, newPath string, threshold float64) {
 	old, err := loadReport(oldPath)
 	if err != nil {

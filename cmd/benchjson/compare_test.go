@@ -91,18 +91,102 @@ func TestCompareInfoMetricsNeverFail(t *testing.T) {
 }
 
 // TestCompareBenchSetChanges: benchmarks appearing or disappearing are
-// noted, never failed — renames should not break the gate.
+// noted, never failed — renames should not break the gate while the
+// rest of the set still compares.
 func TestCompareBenchSetChanges(t *testing.T) {
 	old := mkReport(1000, nil)
-	renamed := Report{Benchmarks: []Benchmark{{Name: "BenchmarkRenamed", Pkg: "soctap", NsPerOp: 1}}}
+	old.Benchmarks = append(old.Benchmarks, Benchmark{Name: "BenchmarkGone", Pkg: "soctap", NsPerOp: 1})
+	renamed := mkReport(1000, nil)
+	renamed.Benchmarks = append(renamed.Benchmarks, Benchmark{Name: "BenchmarkRenamed", Pkg: "soctap", NsPerOp: 1})
 	var out strings.Builder
 	if n := runCompare(old, renamed, 0.10, &out); n != 0 {
 		t.Fatalf("bench-set change regressed %d metric(s), want 0:\n%s", n, out.String())
 	}
-	for _, want := range []string{"new benchmark", "disappeared"} {
+	for _, want := range []string{"new benchmark", "disappeared", "ok:"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("compare output missing %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestCompareNoMatchFails: a compare in which no benchmark of the new
+// report has a baseline compared nothing, and must fail loudly rather
+// than print ok.
+func TestCompareNoMatchFails(t *testing.T) {
+	old := mkReport(1000, nil)
+	renamed := Report{Benchmarks: []Benchmark{{Name: "BenchmarkRenamed", Pkg: "soctap", NsPerOp: 1}}}
+	var out strings.Builder
+	if n := runCompare(old, renamed, 0.10, &out); n == 0 {
+		t.Fatalf("disjoint reports compared clean:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "nothing was compared") || strings.Contains(out.String(), "ok:") {
+		t.Fatalf("no-match compare not flagged:\n%s", out.String())
+	}
+	// The same package under another path is a different benchmark.
+	other := mkReport(1000, nil)
+	other.Benchmarks[0].Pkg = "soctap/internal/core"
+	if n := runCompare(mkReport(1000, nil), other, 0.10, &strings.Builder{}); n == 0 {
+		t.Fatal("benchmarks of different packages matched")
+	}
+}
+
+// TestComparePkgLessBaseline: archives written before results carried
+// a pkg field match by name, so a regression against such a baseline
+// is caught instead of every benchmark reading as new.
+func TestComparePkgLessBaseline(t *testing.T) {
+	old := mkReport(1000, nil)
+	old.Benchmarks[0].Pkg = ""
+	var out strings.Builder
+	if n := runCompare(old, mkReport(1000, nil), 0.10, &out); n != 0 || strings.Contains(out.String(), "no baseline") {
+		t.Fatalf("pkg-less baseline did not match:\n%s", out.String())
+	}
+	if n := runCompare(old, mkReport(1300, nil), 0.10, &strings.Builder{}); n != 1 {
+		t.Fatalf("+30%% ns/op against a pkg-less baseline regressed %d metric(s), want 1", n)
+	}
+}
+
+// TestCompareCheckedInArchives: the two oldest archives in the
+// repository — the first written before pkg stamping — compare metric
+// by metric.
+func TestCompareCheckedInArchives(t *testing.T) {
+	old, err := loadReport("../../BENCH_2026-08-05.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	new, err := loadReport("../../BENCH_2026-08-08.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	runCompare(old, new, 0.10, &out)
+	if strings.Contains(out.String(), "nothing was compared") || !strings.Contains(out.String(), "soctap.BenchmarkTab3WithWithoutTDC") {
+		t.Fatalf("checked-in archives did not compare:\n%s", out.String())
+	}
+}
+
+// TestCompareMedianOfSamples: repeated samples of one benchmark (-count
+// N) compare by their median, so one outlier sample neither fails nor
+// masks the comparison.
+func TestCompareMedianOfSamples(t *testing.T) {
+	old := mkReport(1000, nil)
+	new := mkReport(1000, nil)
+	for _, ns := range []float64{990, 5000, 1010} {
+		b := new.Benchmarks[0]
+		b.NsPerOp = ns
+		new.Benchmarks = append(new.Benchmarks, b)
+	}
+	var out strings.Builder
+	if n := runCompare(old, new, 0.10, &out); n != 0 {
+		t.Fatalf("median of samples regressed %d metric(s), want 0:\n%s", n, out.String())
+	}
+	if got := strings.Count(out.String(), " ns/op "); got != 1 {
+		t.Fatalf("samples printed %d ns/op rows, want one median row:\n%s", got, out.String())
+	}
+	for i := range new.Benchmarks {
+		new.Benchmarks[i].NsPerOp *= 1.5
+	}
+	if n := runCompare(old, new, 0.10, &strings.Builder{}); n != 1 {
+		t.Fatalf("+50%% median regressed %d metric(s), want 1", n)
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"soctap/internal/telemetry"
 )
 
-// benchCore is a mid-size synthetic core whose cubes are large enough
-// to exercise the kernel's radix-sort path (~320 care bits per cube).
+// benchCore is a mid-size synthetic core with ~320 care bits per cube,
+// sparse enough that the kernel prices it through the counter path.
 func benchCore() *soc.Core {
 	chains := make([]int, 64)
 	for i := range chains {
@@ -22,20 +22,33 @@ func benchCore() *soc.Core {
 	}
 }
 
-// BenchmarkTDCCostKernel measures the hot cost kernel alone — the
-// per-cube key build, sort and slice-cost walk — on a warm evaluator.
-// Allocations per op should be ~zero: all buffers are reused.
+// BenchmarkTDCCostKernel measures the hot cost kernel alone — per cube,
+// the stimulus-map walk into packed keys and row counts, the target
+// count per (row, group) cell, and the counter clear — on a warm
+// evaluator at m = 48 (one-word slice rows). Allocations per op should
+// be zero: all buffers are reused.
 func BenchmarkTDCCostKernel(b *testing.B) {
-	c := benchCore()
+	benchmarkTDCCost(b, benchCore(), 48)
+}
+
+// BenchmarkTDCCostKernelWide is the same kernel on an industrial core at
+// m = 1024, where a slice row spans 16 words but holds only a handful of
+// a cube's care bits: the regime where pricing per word, rather than per
+// care bit, cost the most.
+func BenchmarkTDCCostKernelWide(b *testing.B) {
+	benchmarkTDCCost(b, soc.MustIndustrialCore("ckt-8"), 1024)
+}
+
+func benchmarkTDCCost(b *testing.B, c *soc.Core, m int) {
 	ev, err := NewEvaluator(c)
 	if err != nil {
 		b.Fatal(err)
 	}
-	d, err := ev.Design(48)
+	d, err := ev.Design(m)
 	if err != nil {
 		b.Fatal(err)
 	}
-	d.StimulusMap() // warm the memoized map
+	ev.tdcCost(d, true) // load the window and warm the scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -95,7 +95,7 @@ type evalWindow struct {
 // kernel of the (w, m) exploration: the core's test cubes are flattened
 // one window at a time into a contiguous care-bit array, the most recent
 // wrapper design (and its stimulus map) is kept so consecutive
-// evaluations at the same m share it, and the word-kernel plane scratch
+// evaluations at the same m share it, and the slice-kernel scratch
 // (kernel.go) is reused across the whole sweep. When one window covers
 // the whole test set — the resident case — it is loaded on the first
 // pass and kept for every later one. An Evaluator is not safe for
@@ -119,7 +119,7 @@ type Evaluator struct {
 	// (see beginPass/nextWindow).
 	passPos int
 
-	kern kernelScratch // word-parallel slice kernel state
+	kern kernelScratch // slice-cost kernel state
 
 	lastM int // most recently built wrapper design (0 = none)
 	lastD *wrapper.Design
@@ -297,7 +297,7 @@ func (e *Evaluator) nextWindow() bool {
 	}
 	// The dense/sparse strategy is chosen per window from its measured
 	// density: a sweep over a decaying test set can use the transpose
-	// kernel for the dense head and the scatter kernel for the sparse
+	// kernel for the dense head and the counter kernel for the sparse
 	// tail of one pass.
 	density := float64(e.win.CareBits()) / (float64(e.numBits) * float64(loaded))
 	e.win.dense = density >= denseDensityThreshold
@@ -427,8 +427,8 @@ func (e *Evaluator) PatternBits(m int) ([]int64, error) {
 // wrapper design, without materializing codewords. It reproduces
 // selenc's cost model — per slice, one header plus min(t, 2) codewords
 // per group holding t target bits (fill = per-slice care majority) — via
-// the word-parallel plane kernel (kernel.go) and is validated against
-// the real encoder in the tests.
+// the slice-cost kernel (kernel.go) and is validated against the real
+// encoder in the tests.
 func (e *Evaluator) tdcCost(d *wrapper.Design, groupCopy bool) (time, volume int64) {
 	k := int64(selenc.PayloadBits(d.M))
 	w := k + 2
@@ -458,13 +458,6 @@ func (e *Evaluator) tdcCost(d *wrapper.Design, groupCopy bool) (time, volume int
 	time += int64(e.patterns) + so
 	volume = totalCW * w
 	return time, volume
-}
-
-func flushGroup(t int, groupCopy bool) int64 {
-	if groupCopy && t >= 2 {
-		return 2
-	}
-	return int64(t)
 }
 
 // EvalNoTDC evaluates testing the core through m direct TAM wires with

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"soctap/internal/cube"
 	"soctap/internal/selenc"
 	"soctap/internal/soc"
 	"soctap/internal/wrapper"
@@ -22,22 +23,33 @@ func smallCore(seed int64) *soc.Core {
 
 // referenceTDC computes test time and volume by actually encoding every
 // slice with the real selective-encoding encoder — the ground truth the
-// fast cost model in tdcCost must match bit-for-bit.
-func referenceTDC(t *testing.T, c *soc.Core, m int) (int64, int64) {
+// fast cost model in tdcCost must match bit-for-bit. With group copy
+// off, the codec's ablation sends every target bit (a care bit whose
+// value differs from the slice's fill, selenc.ChooseFill) as its own
+// single-bit codeword after the slice header.
+func referenceTDC(t *testing.T, c *soc.Core, m int, groupCopy bool) (int64, int64) {
 	t.Helper()
-	d, err := wrapper.New(c, m)
+	time, volume, err := referenceCost(c, m, groupCopy)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return time, volume
+}
+
+func referenceCost(c *soc.Core, m int, groupCopy bool) (time, volume int64, err error) {
+	d, err := wrapper.New(c, m)
+	if err != nil {
+		return 0, 0, err
+	}
 	ts, err := c.TestSet()
 	if err != nil {
-		t.Fatal(err)
+		return 0, 0, err
 	}
 	refs := d.StimulusMap()
 	w := selenc.CodewordWidth(m)
 	so := int64(d.ScanOut)
 
-	var totalCW, time int64
+	var totalCW int64
 	for j, cb := range ts.Cubes {
 		slices := make([][]selenc.CareBit, d.ScanIn)
 		for _, bit := range cb.Care {
@@ -46,6 +58,16 @@ func referenceTDC(t *testing.T, c *soc.Core, m int) (int64, int64) {
 		}
 		var cw int64
 		for _, slice := range slices {
+			if !groupCopy {
+				cw++ // header
+				fill := selenc.ChooseFill(slice)
+				for _, b := range slice {
+					if b.Value != fill {
+						cw++
+					}
+				}
+				continue
+			}
 			// EncodeSlice requires sorted care lists.
 			sortCare(slice)
 			cw += int64(len(selenc.EncodeSlice(m, slice)))
@@ -60,7 +82,7 @@ func referenceTDC(t *testing.T, c *soc.Core, m int) (int64, int64) {
 		}
 	}
 	time += int64(ts.Len()) + so
-	return time, totalCW * int64(w)
+	return time, totalCW * int64(w), nil
 }
 
 func sortCare(care []selenc.CareBit) {
@@ -78,7 +100,7 @@ func TestEvalTDCMatchesRealEncoder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantTime, wantVol := referenceTDC(t, c, m)
+		wantTime, wantVol := referenceTDC(t, c, m, true)
 		if got.Time != wantTime || got.Volume != wantVol {
 			t.Errorf("m=%d: cost model (τ=%d, V=%d) != encoder (τ=%d, V=%d)",
 				m, got.Time, got.Volume, wantTime, wantVol)
@@ -109,43 +131,12 @@ func TestQuickCostModelEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		wantTime, wantVol := referenceTDCquiet(c, m)
-		return got.Time == wantTime && got.Volume == wantVol
+		wantTime, wantVol, err := referenceCost(c, m, true)
+		return err == nil && got.Time == wantTime && got.Volume == wantVol
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
-}
-
-func referenceTDCquiet(c *soc.Core, m int) (int64, int64) {
-	d, _ := wrapper.New(c, m)
-	ts, _ := c.TestSet()
-	refs := d.StimulusMap()
-	w := selenc.CodewordWidth(m)
-	so := int64(d.ScanOut)
-	var totalCW, time int64
-	for j, cb := range ts.Cubes {
-		slices := make([][]selenc.CareBit, d.ScanIn)
-		for _, bit := range cb.Care {
-			r := refs[bit.Pos]
-			slices[r.Depth] = append(slices[r.Depth], selenc.CareBit{Pos: int(r.Chain), Value: bit.Value})
-		}
-		var cw int64
-		for _, slice := range slices {
-			sortCare(slice)
-			cw += int64(len(selenc.EncodeSlice(m, slice)))
-		}
-		totalCW += cw
-		if j == 0 {
-			time += cw
-		} else if cw > so {
-			time += cw
-		} else {
-			time += so
-		}
-	}
-	time += int64(ts.Len()) + so
-	return time, totalCW * int64(w)
 }
 
 // TestEvalTDCLargeCubeMatchesRealEncoder covers big-cube inputs on
@@ -166,7 +157,7 @@ func TestEvalTDCLargeCubeMatchesRealEncoder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantTime, wantVol := referenceTDC(t, c, m)
+		wantTime, wantVol := referenceTDC(t, c, m, true)
 		if got.Time != wantTime || got.Volume != wantVol {
 			t.Errorf("m=%d: cost model (τ=%d, V=%d) != encoder (τ=%d, V=%d)",
 				m, got.Time, got.Volume, wantTime, wantVol)
@@ -175,7 +166,7 @@ func TestEvalTDCLargeCubeMatchesRealEncoder(t *testing.T) {
 }
 
 // forceKernel loads an evaluator's whole-set window and pins the
-// plane-building strategy the kernels use for it (building the dense
+// pricing strategy the kernels use for it (building the dense
 // path's flat planes when needed). The window stays loaded, so every
 // later pass prices through the forced strategy.
 func forceKernel(t *testing.T, c *soc.Core, dense bool) *Evaluator {
@@ -195,15 +186,14 @@ func forceKernel(t *testing.T, c *soc.Core, dense bool) *Evaluator {
 	return ev
 }
 
-// TestKernelPathsAgree forces both plane-building strategies of the
-// word kernel — dense (flat planes + transpose) and sparse (scatter
-// over dirty rows) — through the single kernel preparation onto the
-// same cores and requires identical costs from each, for both
-// group-copy settings. A third evaluator flips from dense to sparse in
-// the middle of a pass over its whole-set window, exercising the
-// slice-plane re-zeroing handoff between the kernels. The density
-// heuristic may pick either path; correctness must never depend on the
-// choice.
+// TestKernelPathsAgree forces both pricing strategies of the slice
+// kernel — dense (flat planes + transpose) and sparse (per-care-bit
+// counters) — through the single kernel preparation onto the same
+// cores and requires identical costs from each, for both group-copy
+// settings. A third evaluator flips from dense to sparse in the middle
+// of a pass over its whole-set window, as a decaying test set does
+// between windows. The density heuristic may pick either path;
+// correctness must never depend on the choice.
 func TestKernelPathsAgree(t *testing.T) {
 	cores := []*soc.Core{
 		smallCore(7),
@@ -255,8 +245,99 @@ func TestKernelPathsAgree(t *testing.T) {
 	}
 }
 
-// TestKernelSteadyStateZeroAlloc is the 0 allocs/op gate for the word
-// kernel: once the scratch planes are warm, repeated tdcCost calls on
+// TestSparseKernelMatchesEncoder pins the counter kernel (the sparse
+// path) against the real encoder, independently of the dense path. The
+// wide core has more than 200 wrapper chains, so the m axis covers a
+// single chain holding every stimulus bit (one group per slice), payload
+// widths that leave a partial last group, and slice rows of one and of
+// several 64-bit words. Hand-built cubes add the fill edge cases: a tie
+// row (fill 0), an all-X cube, a fully specified cube, and a group with
+// more than two targets. Both group-copy settings are checked; with
+// group copy off the reference counts target bits per slice.
+func TestSparseKernelMatchesEncoder(t *testing.T) {
+	chains := make([]int, 160)
+	for i := range chains {
+		chains[i] = 6 + i%9
+	}
+	wide := &soc.Core{
+		Name: "wide", Inputs: 52, Outputs: 40, Bidirs: 8, ScanChains: chains,
+		Patterns: 24, CareDensity: 0.06, Clustering: 0.7, DensityDecay: 0.6, Seed: 19,
+	}
+	if wide.MaxWrapperChains() <= 200 {
+		t.Fatalf("wide core has only %d wrapper chains", wide.MaxWrapperChains())
+	}
+	for _, c := range []*soc.Core{wide, edgeCubeCore(t)} {
+		ev := forceKernel(t, c, false)
+		for _, m := range []int{1, 2, 3, 7, 63, 64, 65, 127, 128, 129, c.MaxWrapperChains()} {
+			if m > c.MaxWrapperChains() {
+				continue
+			}
+			d, err := ev.Design(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, gc := range []bool{true, false} {
+				gotTime, gotVol := ev.tdcCost(d, gc)
+				wantTime, wantVol := referenceTDC(t, c, m, gc)
+				if gotTime != wantTime || gotVol != wantVol {
+					t.Errorf("%s m=%d gc=%v: sparse kernel (τ=%d, V=%d) != encoder (τ=%d, V=%d)",
+						c.Name, m, gc, gotTime, gotVol, wantTime, wantVol)
+				}
+			}
+		}
+	}
+}
+
+// edgeCubeCore returns a core of eight 4-cell scan chains carrying
+// hand-built cubes laid out through its m=8 stimulus map (one scan chain
+// per wrapper chain; k=4, so chains 0-3 and 4-7 form the two groups of
+// each slice row):
+//
+//   - cube 0: row 0 is a tie (two ones, two zeros: fill 0, the ones are
+//     targets); row 1 has three ones in group 0 against four zeros in
+//     group 1 (fill 0, three targets in one group);
+//   - cube 1: all-X;
+//   - cube 2: every cell specified.
+func edgeCubeCore(t *testing.T) *soc.Core {
+	t.Helper()
+	c := &soc.Core{Name: "edge", Outputs: 4, ScanChains: []int{4, 4, 4, 4, 4, 4, 4, 4}, Patterns: 3}
+	d, err := wrapper.New(c, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := make(map[wrapper.CellRef]int)
+	for pos, r := range d.StimulusMap() {
+		flat[r] = pos
+	}
+	set := func(cb *cube.Cube, chain, depth int, v bool) {
+		pos, ok := flat[wrapper.CellRef{Chain: int32(chain), Depth: int32(depth)}]
+		if !ok {
+			t.Fatalf("edge core: no cell at chain %d depth %d", chain, depth)
+		}
+		cb.Set(pos, v)
+	}
+	n := c.StimulusBits()
+	tie := cube.NewCube(n)
+	for ch, v := range []bool{true, true, false, false} {
+		set(tie, ch, 0, v)
+	}
+	for ch := 0; ch < 8; ch++ {
+		set(tie, ch, 1, ch < 3)
+	}
+	full := cube.NewCube(n)
+	rng := rand.New(rand.NewSource(4))
+	for pos := 0; pos < n; pos++ {
+		full.Set(pos, rng.Intn(2) == 1)
+	}
+	c.ExplicitCubes = &cube.Set{NumBits: n, Cubes: []*cube.Cube{tie, cube.NewCube(n), full}}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestKernelSteadyStateZeroAlloc is the 0 allocs/op gate for the slice
+// kernel: once the scratch is warm, repeated tdcCost calls on
 // both paths must not allocate. Run by the `make check`
 // kernel-equivalence target.
 func TestKernelSteadyStateZeroAlloc(t *testing.T) {

@@ -159,7 +159,7 @@ func TestFusedWindowKernelZeroAlloc(t *testing.T) {
 	if !ev.nextWindow() {
 		t.Fatal("empty first window")
 	}
-	// Warm: design prep, lazy stimulus map, slice-plane sizing.
+	// Warm: design prep, lazy stimulus map, kernel scratch sizing.
 	ev.priceWindowPoint(p)
 	mir.priceWindowPoint(mp)
 	if allocs := testing.AllocsPerRun(20, func() {

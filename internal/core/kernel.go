@@ -1,25 +1,28 @@
-// Word-parallel slice kernel: the inner loop of tdcCost. Instead of
-// sorting per-pattern (depth, chain) keys, each pattern is materialized
-// as two slice-major word planes — a care plane and a value plane, one
-// row of ceil(m/64) words per scan-in slice — and priced with popcounts
-// and mask walks (see selenc's mask layout). Two strategies build the
-// planes, chosen per loaded cube window from its measured care density:
+// Slice-cost kernel: the inner loop of tdcCost. Selective encoding
+// charges each scan slice one header plus min(t, 2) codewords per k-bit
+// group holding t target bits, a target being a care bit whose value
+// differs from the slice's majority fill. Two strategies price a cube,
+// chosen per loaded cube window from its measured care density:
 //
-//   - dense (d695-class cores): per-cube flat bit planes are built once
-//     per window load (once for the whole sweep when a whole-set window
-//     stays loaded); per design, wrapper
-//     StimulusSegments bulk-copy them into chain-major rows and a 64×64
-//     block transpose re-slices them to slice-major. No per-care-bit
-//     work inside the sweep at all.
-//   - sparse (industrial-class cores): care bits are scattered through
-//     the StimulusMap directly into the slice-major planes; only dirty
-//     rows are priced and re-zeroed, so work scales with the cube's
-//     care-bit count, not the plane size.
+//   - dense (d695-class cores, the decaying head of giant cores): each
+//     cube is materialized as two slice-major word planes — a care plane
+//     and a value plane, one row of ceil(m/64) words per scan-in slice —
+//     and priced with popcounts and mask walks (selenc.SliceOpsMask).
+//     Per-cube flat bit planes are built once per window load; per
+//     design, wrapper StimulusSegments bulk-copy them into chain-major
+//     rows and a 64×64 block transpose re-slices them to slice-major. No
+//     per-care-bit work inside the sweep at all.
+//   - sparse (industrial-class cores): per-care-bit counters, no planes.
+//     Each care ref maps through the StimulusMap to a packed (row, group,
+//     value) key while per-row care/one counts accumulate; a second walk
+//     over the keys compares each bit against its row's fill and counts
+//     targets into per-(row, group) cells; a third zeroes the counters it
+//     touched. Work is O(care bits) per cube, independent of m.
 //
-// Both paths are exact and interchangeable (cross-checked in tests);
-// all scratch is owned by the Evaluator and reused across the sweep, so
-// steady-state evaluation performs no allocations (gate-enforced by
-// `make check`).
+// Both paths are exact and interchangeable (cross-checked against each
+// other and against the real encoder in tests); all scratch is owned by
+// the Evaluator and reused across the sweep, so steady-state evaluation
+// performs no allocations (gate-enforced by `make check`).
 package core
 
 import (
@@ -28,18 +31,20 @@ import (
 	"soctap/internal/wrapper"
 )
 
-// denseDensityThreshold selects the plane-building strategy: at or
-// above this measured care density the cached-flat-plane + transpose
-// path wins; below it the scatter path's care-bit-proportional work is
-// cheaper than transposing mostly-empty planes.
+// denseDensityThreshold selects the pricing strategy per loaded window:
+// at or above this measured care density the window is priced through
+// the cached flat planes and the transpose, below it through the
+// per-care-bit counters.
 const denseDensityThreshold = 0.15
 
-// kernelScratch holds the word-kernel state of one Evaluator. All
-// buffers grow to high-water marks and are reused across designs. The
-// per-window data both kernels read — the flattened care refs and the
-// dense path's m-independent flat planes — lives on the evaluator's
-// evalWindow (eval.go) so mirrors can share a producer's window while
-// owning their own scratch.
+// kernelScratch holds the slice-kernel state of one Evaluator. All
+// buffers grow to high-water marks and are reused across designs; each
+// is allocated on the first window that needs it, so a sweep that only
+// ever takes one path never allocates the other's state. The per-window
+// data both kernels read — the flattened care refs and the dense path's
+// m-independent flat planes — lives on the evaluator's evalWindow
+// (eval.go) so mirrors can share a producer's window while owning their
+// own scratch.
 type kernelScratch struct {
 	prepared *wrapper.Design // design the geometry below belongs to
 
@@ -48,46 +53,40 @@ type kernelScratch struct {
 	chainWords int // words per slice row, ceil(m/64)
 	siWords    int // words per chain row, ceil(si/64)
 
-	// Sparse path: stimulus map plus dirty-row bookkeeping. The slice
-	// planes are all-zero between patterns; scatters dirty rows, the
-	// walk prices them, and the clear pass restores the invariant. refs
-	// resolves lazily on first sparse use, so dense-only passes never
-	// build (or retain) a stimulus map.
-	refs  []wrapper.CellRef
-	dirty []int32
-	mark  []bool
+	// Sparse path, resolved on the first sparse window per design
+	// (refs == nil until then): the stimulus map, each wrapper chain's
+	// k-bit group, and the groups per slice row. keys holds the current
+	// cube's refs mapped to row<<32 | group<<1 | value. rowCount packs
+	// each slice row's care count (low 32 bits) and ones count (high 32
+	// bits); groupTargets counts target bits per (row, group) cell at
+	// index row*groups + group. Both counter arrays are all-zero between
+	// cubes.
+	refs         []wrapper.CellRef
+	groupOf      []uint32
+	groups       uint64
+	keys         []uint64
+	rowCount     []uint64
+	groupTargets []uint8
 
-	// Dense path: the design's stimulus segments and the chain-major
-	// intermediate planes, resolved on the first dense window per design
-	// (segs == nil until then).
+	// Dense path, resolved on the first dense window per design (segs ==
+	// nil until then): the design's stimulus segments, the chain-major
+	// intermediate planes, and the slice-major planes [row][chainWords],
+	// rows padded to siWords*64 so whole transpose blocks can land.
 	segs       []wrapper.StimulusSegment
 	chainCare  []uint64 // [chainWords*64 rows][siWords]
 	chainValue []uint64
-
-	// Slice-major planes shared by both paths: [row][chainWords], rows
-	// padded to siWords*64 on the dense path so whole transpose blocks
-	// can land.
 	sliceCare  []uint64
 	sliceValue []uint64
-	// sliceZeroed tracks the sparse path's all-zero plane invariant.
-	// The dense kernel overwrites walked words without restoring them,
-	// so when the strategy flips between windows a sparse window after
-	// a dense one must first re-zero the planes.
-	sliceZeroed bool
 }
 
 // kernelPrepare (re)targets the kernel scratch at a wrapper design.
-// Consecutive calls with the same design are free. The plane-building
-// strategy may differ from window to window, so the scratch is readied
-// for both kernels: the slice planes are sized at the dense (padded)
-// layout, a superset of the sparse one, and the sparse path's dirty-row
-// state covers every slice row. The rest is deferred to the first
-// window that needs it: the dense path's stimulus segments and
-// chain-major planes (patternOpsDense), so sparse-only sweeps never
-// allocate them, and the sparse path's stimulus map (patternOpsSparse),
-// since a fused batch holds many designs alive at once and a map per
-// design is only worth its O(stimulus bits) memory when a sparse window
-// actually scatters through it.
+// Consecutive calls with the same design are free. The pricing strategy
+// may differ from window to window, so each path's per-design state is
+// deferred to the first window that takes it: the dense path's stimulus
+// segments and planes (patternOpsDense), and the sparse path's stimulus
+// map and counters (patternOpsSparse) — a fused batch holds many
+// designs alive at once, and a map per design is only worth its
+// O(stimulus bits) memory when a sparse window actually maps through it.
 func (e *Evaluator) kernelPrepare(d *wrapper.Design) {
 	ks := &e.kern
 	if ks.prepared == d {
@@ -99,21 +98,6 @@ func (e *Evaluator) kernelPrepare(d *wrapper.Design) {
 	ks.siWords = (d.ScanIn + 63) / 64
 	ks.segs = nil
 	ks.refs = nil
-
-	sliceNeed := ks.siWords * 64 * ks.chainWords
-	if cap(ks.sliceCare) < sliceNeed {
-		ks.sliceCare = make([]uint64, sliceNeed)
-		ks.sliceValue = make([]uint64, sliceNeed)
-		ks.sliceZeroed = true
-	}
-	ks.sliceCare = ks.sliceCare[:sliceNeed]
-	ks.sliceValue = ks.sliceValue[:sliceNeed]
-
-	if cap(ks.mark) < ks.si {
-		ks.mark = make([]bool, ks.si)
-		ks.dirty = make([]int32, 0, ks.si)
-	}
-	ks.mark = ks.mark[:ks.si]
 }
 
 // buildFlatPlanes materializes the loaded cube window as flat
@@ -122,15 +106,10 @@ func (e *Evaluator) kernelPrepare(d *wrapper.Design) {
 func (w *evalWindow) buildFlatPlanes(numBits int) {
 	w.flatWords = (numBits + 63) / 64
 	n := w.count * w.flatWords
-	if cap(w.flatCare) < n {
-		w.flatCare = make([]uint64, n)
-		w.flatValue = make([]uint64, n)
-	} else {
-		w.flatCare = w.flatCare[:n]
-		w.flatValue = w.flatValue[:n]
-		clear(w.flatCare)
-		clear(w.flatValue)
-	}
+	w.flatCare = grow(w.flatCare, n)
+	w.flatValue = grow(w.flatValue, n)
+	clear(w.flatCare)
+	clear(w.flatValue)
 	w.scatterFlat()
 }
 
@@ -165,18 +144,14 @@ func (e *Evaluator) patternOpsDense(j int, k int64, groupCopy bool) int64 {
 	ks := &e.kern
 	win := e.win
 	cw, siW := ks.chainWords, ks.siWords
-	ks.sliceZeroed = false
 
 	if ks.segs == nil {
 		// First dense window under this design (see kernelPrepare).
 		ks.segs = ks.prepared.StimulusSegments()
-		chainNeed := cw * 64 * siW
-		if cap(ks.chainCare) < chainNeed {
-			ks.chainCare = make([]uint64, chainNeed)
-			ks.chainValue = make([]uint64, chainNeed)
-		}
-		ks.chainCare = ks.chainCare[:chainNeed]
-		ks.chainValue = ks.chainValue[:chainNeed]
+		ks.chainCare = grow(ks.chainCare, cw*64*siW)
+		ks.chainValue = grow(ks.chainValue, cw*64*siW)
+		ks.sliceCare = grow(ks.sliceCare, siW*64*cw)
+		ks.sliceValue = grow(ks.sliceValue, siW*64*cw)
 	}
 	clear(ks.chainCare)
 	clear(ks.chainValue)
@@ -220,55 +195,96 @@ func (e *Evaluator) patternOpsDense(j int, k int64, groupCopy bool) int64 {
 	return ops
 }
 
-// patternOpsSparse scatters cube j's care bits through the stimulus map
-// into the slice-major planes, prices the dirty rows, and re-zeroes
-// them so the all-zero invariant holds for the next pattern.
+// patternOpsSparse prices cube j with per-care-bit counters in three
+// walks over its refs: map each through the stimulus map to a packed
+// key while counting care bits and ones per slice row; count each
+// target bit (value != its row's majority fill, ties to 0 as in
+// selenc.ChooseFill) into its (row, group) cell, where the first two
+// targets of a group cost one codeword each and later ones are free
+// (min(t, 2) with group copy, t without); and zero the touched
+// counters so they are all-zero again for the next cube.
 func (e *Evaluator) patternOpsSparse(j int, k int64, groupCopy bool) int64 {
 	ks := &e.kern
-	cw := ks.chainWords
 	if ks.refs == nil {
-		// Deferred from kernelPrepare: the design's stimulus
-		// map is only materialized once a sparse window needs it (it is
-		// sync.Once-cached on the design, so this is allocation-free
-		// after the first sparse window per design).
-		ks.refs = ks.prepared.StimulusMap()
+		ks.prepareSparse(k)
 	}
-	if !ks.sliceZeroed {
-		// A dense window (or a fresh re-slice over its leavings) broke
-		// the all-zero invariant; restore it across the full capacity so
-		// later re-slices stay covered too.
-		clear(ks.sliceCare[:cap(ks.sliceCare)])
-		clear(ks.sliceValue[:cap(ks.sliceValue)])
-		ks.sliceZeroed = true
+	refs := e.win.CubeRefs(j)
+	ks.keys = grow(ks.keys, len(refs))
+	keys := ks.keys
+	stim, groupOf, rowCount := ks.refs, ks.groupOf, ks.rowCount
+	for i, p := range refs {
+		r := stim[p>>1]
+		v := p & 1
+		rowCount[r.Depth] += 1 | v<<32
+		keys[i] = uint64(r.Depth)<<32 | uint64(groupOf[r.Chain])<<1 | v
 	}
-	dirty := ks.dirty[:0]
-	for _, p := range e.win.CubeRefs(j) {
-		r := ks.refs[p>>1]
-		row := int(r.Depth)
-		if !ks.mark[row] {
-			ks.mark[row] = true
-			dirty = append(dirty, int32(row))
+
+	var ops uint64
+	if groupCopy {
+		cells, groups := ks.groupTargets, ks.groups
+		for _, key := range keys {
+			row := key >> 32
+			target := (key ^ rowFill(rowCount[row])) & 1
+			cell := row*groups + uint64(uint32(key)>>1)
+			n := cells[cell]
+			// n-2 wraps to >= 254 iff n < 2 (a group holds at most k <= 29 targets).
+			ops += target & (uint64(n-2) >> 7)
+			cells[cell] = n + uint8(target)
 		}
-		wi := row*cw + int(r.Chain)>>6
-		bit := uint64(1) << uint(r.Chain&63)
-		ks.sliceCare[wi] |= bit
-		if p&1 != 0 {
-			ks.sliceValue[wi] |= bit
+		for _, key := range keys {
+			row := key >> 32
+			rowCount[row] = 0
+			cells[row*groups+uint64(uint32(key)>>1)] = 0
+		}
+	} else {
+		for _, key := range keys {
+			ops += (key ^ rowFill(rowCount[key>>32])) & 1
+		}
+		for _, key := range keys {
+			rowCount[key>>32] = 0
 		}
 	}
-	var ops int64
-	for _, row := range dirty {
-		o := int(row) * cw
-		ops += rowOps(ks.sliceCare[o:o+cw], ks.sliceValue[o:o+cw], k, groupCopy)
+	return int64(ops)
+}
+
+// prepareSparse resolves the sparse path's per-design state on the
+// first sparse window under the prepared design: the stimulus map
+// (sync.Once-cached on the design, so this is allocation-free after the
+// first sparse window per design), the chain → group table for payload
+// width k, and counters covering every (row, group) cell. The counters
+// keep their all-zero invariant across designs, so growing them is the
+// only work needed.
+func (ks *kernelScratch) prepareSparse(k int64) {
+	d := ks.prepared
+	ks.refs = d.StimulusMap()
+	ks.groupOf = grow(ks.groupOf, d.M)
+	for ch := range ks.groupOf {
+		ks.groupOf[ch] = uint32(int64(ch) / k)
 	}
-	for _, row := range dirty {
-		o := int(row) * cw
-		clear(ks.sliceCare[o : o+cw])
-		clear(ks.sliceValue[o : o+cw])
-		ks.mark[row] = false
+	ks.groups = uint64((int64(d.M) + k - 1) / k)
+	ks.rowCount = grow(ks.rowCount, ks.si)
+	ks.groupTargets = grow(ks.groupTargets, ks.si*int(ks.groups))
+}
+
+// rowFill returns a slice row's majority fill bit from its packed
+// counts: 1 iff ones outnumber zeros, ties preferring 0 exactly as
+// selenc.ChooseFill does.
+func rowFill(count uint64) uint64 {
+	if (count>>32)*2 > count&0xffffffff {
+		return 1
 	}
-	ks.dirty = dirty[:0]
-	return ops
+	return 0
+}
+
+// grow returns buf resliced to n elements, reallocating (zeroed) only
+// when its capacity falls short. Reslicing keeps whatever the buffer
+// held, which the counter arrays rely on: they are all-zero whenever
+// the kernel is between cubes.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // rowOps prices one slice row held as care/value word masks. The

@@ -30,7 +30,7 @@ func trimmedCore(c *soc.Core, patterns int) *soc.Core {
 // decayCore has a strongly decaying density profile chosen so that at
 // small windows the head windows measure dense (≥ denseDensityThreshold)
 // and the tail windows sparse — every pass flips the kernel strategy
-// mid-stream, exercising the slice-plane re-zeroing handoff.
+// mid-stream, so both pricing paths run within one pass.
 func decayCore(seed int64) *soc.Core {
 	return &soc.Core{
 		Name: "decay", Inputs: 10, Outputs: 8,

@@ -309,8 +309,26 @@ func TestQuickSparseDenseRoundTrip(t *testing.T) {
 	}
 }
 
+// BenchmarkGenerateIndustrial generates an industrial-scale flat test
+// set: 200 cubes of ~1,000 clustered care bits over 50,000 cells.
 func BenchmarkGenerateIndustrial(b *testing.B) {
-	spec := GenSpec{NumBits: 50000, Patterns: 200, Density: 0.02, DensityDecay: 0.8, Clustering: 0.7, Seed: 11}
+	benchmarkGenerate(b, GenSpec{NumBits: 50000, Patterns: 200, Density: 0.02, DensityDecay: 0.8, Clustering: 0.7, Seed: 11})
+}
+
+// BenchmarkGenerateScan is the scan-geometry form the soc package uses
+// for every core: the same cell count laid out as 400 chains of 120
+// cells behind 2,000 wrapper input cells, with clusters placed in
+// (chain, depth) coordinates.
+func BenchmarkGenerateScan(b *testing.B) {
+	geometry := make([]int, 400)
+	for i := range geometry {
+		geometry[i] = 120
+	}
+	benchmarkGenerate(b, GenSpec{NumBits: 50000, Patterns: 200, Density: 0.02, DensityDecay: 0.8, Clustering: 0.7, Seed: 11,
+		Geometry: geometry, IOCells: 2000})
+}
+
+func benchmarkGenerate(b *testing.B, spec GenSpec) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Generate(spec); err != nil {

@@ -1,10 +1,11 @@
 package cube
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // GenSpec parameterizes the deterministic synthetic cube generator. The
@@ -136,30 +137,54 @@ func Generate(g GenSpec) (*Set, error) {
 }
 
 // placeCare appends one care bit without the O(care) sorted-insert of
-// Cube.Set; generator call sites guarantee position uniqueness via
-// their seen maps, and sortCare restores the Care ordering invariant
-// once placement finishes. This keeps per-cube cost O(care log care)
-// instead of O(care²) — the difference between minutes and hours on a
-// million-cube giant set.
+// Cube.Set; generator call sites guarantee position uniqueness via the
+// generator's seen bitset, and sortCare restores the Care ordering
+// invariant once placement finishes. This keeps per-cube cost O(care log
+// care) instead of O(care²) — the difference between minutes and hours
+// on a million-cube giant set.
 func placeCare(c *Cube, pos int, v bool) {
 	c.Care = append(c.Care, CareBit{Pos: pos, Value: v})
 }
 
 // sortCare restores the sorted-by-position invariant after placeCare
-// appends. Positions are unique, so a plain sort reproduces exactly the
-// layout incremental Cube.Set insertion would have built.
+// appends. Positions are unique, so any correct sort reproduces exactly
+// the layout incremental Cube.Set insertion would have built.
 func sortCare(c *Cube) {
-	sort.Slice(c.Care, func(i, j int) bool { return c.Care[i].Pos < c.Care[j].Pos })
+	slices.SortFunc(c.Care, func(a, b CareBit) int { return cmp.Compare(a.Pos, b.Pos) })
+}
+
+// seenSet marks the flat positions already placed in the cube being
+// generated: one bit per stimulus position, owned by the Generator and
+// reused for every cube. A cube's placement leaves exactly its own care
+// positions set, so release walks those instead of clearing NumBits.
+type seenSet []uint64
+
+func newSeenSet(numBits int) seenSet { return make(seenSet, (numBits+63)/64) }
+
+// mark sets pos and reports whether it was already set.
+func (s seenSet) mark(pos int) bool {
+	w, b := pos>>6, uint64(1)<<uint(pos&63)
+	if s[w]&b != 0 {
+		return true
+	}
+	s[w] |= b
+	return false
+}
+
+// release clears the positions of c, restoring the all-zero set.
+func (s seenSet) release(c *Cube) {
+	for _, cb := range c.Care {
+		s[cb.Pos>>6] &^= uint64(1) << uint(cb.Pos&63)
+	}
 }
 
 // genScanCube places clusters in (chain, depth) coordinates: each
 // cluster is a rectangle of adjacent chains at nearby depths, the
 // scan-slice clustering regime. IO cells receive a proportional share of
 // uniformly scattered care bits.
-func genScanCube(rng *rand.Rand, g GenSpec, chainStart []int, nCare int, clustering, oneBias float64) *Cube {
+func genScanCube(rng *rand.Rand, seen seenSet, g GenSpec, chainStart []int, nCare int, clustering, oneBias float64) *Cube {
 	c := NewCube(g.NumBits)
 	c.Care = make([]CareBit, 0, nCare)
-	seen := make(map[int]bool, nCare)
 	nChains := len(g.Geometry)
 
 	// IO share of the care bits, scattered uniformly.
@@ -170,10 +195,9 @@ func genScanCube(rng *rand.Rand, g GenSpec, chainStart []int, nCare int, cluster
 	placed := 0
 	for tries := 0; placed < ioCare && tries < ioCare*40; tries++ {
 		pos := rng.Intn(g.IOCells)
-		if seen[pos] {
+		if seen.mark(pos) {
 			continue
 		}
-		seen[pos] = true
 		placeCare(c, pos, rng.Float64() < oneBias)
 		placed++
 	}
@@ -211,10 +235,9 @@ func genScanCube(rng *rand.Rand, g GenSpec, chainStart []int, nCare int, cluster
 					continue
 				}
 				pos := chainStart[ch] + d
-				if seen[pos] {
+				if seen.mark(pos) {
 					continue
 				}
-				seen[pos] = true
 				v := domVal
 				if rng.Float64() > 0.85 {
 					v = !v
@@ -225,16 +248,16 @@ func genScanCube(rng *rand.Rand, g GenSpec, chainStart []int, nCare int, cluster
 		}
 	}
 	fillRemaining(rng, c, seen, g.NumBits, nCare, &placed, oneBias)
+	seen.release(c)
 	sortCare(c)
 	return c
 }
 
 // genFlatCube draws one cube with nCare specified bits clustered over
 // flat cell indices.
-func genFlatCube(rng *rand.Rand, numBits, nCare int, clustering, oneBias float64) *Cube {
+func genFlatCube(rng *rand.Rand, seen seenSet, numBits, nCare int, clustering, oneBias float64) *Cube {
 	c := NewCube(numBits)
 	c.Care = make([]CareBit, 0, nCare)
-	seen := make(map[int]bool, nCare)
 
 	// Number of cone centers: fewer cones = stronger clustering. At
 	// clustering=0 every care bit is its own "cone" (uniform scatter).
@@ -262,10 +285,9 @@ func genFlatCube(rng *rand.Rand, numBits, nCare int, clustering, oneBias float64
 	for attempts := 0; placed < nCare && attempts < nCare*50; attempts++ {
 		co := cones[rng.Intn(nCones)]
 		pos := co.center + int(rng.NormFloat64()*co.spread)
-		if pos < 0 || pos >= numBits || seen[pos] {
+		if pos < 0 || pos >= numBits || seen.mark(pos) {
 			continue
 		}
-		seen[pos] = true
 		v := co.domVal
 		if rng.Float64() > 0.85 {
 			v = !v
@@ -274,18 +296,18 @@ func genFlatCube(rng *rand.Rand, numBits, nCare int, clustering, oneBias float64
 		placed++
 	}
 	fillRemaining(rng, c, seen, numBits, nCare, &placed, oneBias)
+	seen.release(c)
 	sortCare(c)
 	return c
 }
 
 // fillRemaining linearly scans for free cells when random placement
 // saturates (tiny cores or density ~1).
-func fillRemaining(rng *rand.Rand, c *Cube, seen map[int]bool, numBits, nCare int, placed *int, oneBias float64) {
+func fillRemaining(rng *rand.Rand, c *Cube, seen seenSet, numBits, nCare int, placed *int, oneBias float64) {
 	for pos := 0; *placed < nCare && pos < numBits; pos++ {
-		if seen[pos] {
+		if seen.mark(pos) {
 			continue
 		}
-		seen[pos] = true
 		placeCare(c, pos, rng.Float64() < oneBias)
 		*placed++
 	}

@@ -68,8 +68,9 @@ type Generator struct {
 	oneBias    float64
 	chainStart []int
 
-	rng *rand.Rand
-	i   int
+	rng  *rand.Rand
+	seen seenSet // placement bitset, all-zero between cubes
+	i    int
 }
 
 // NewGenerator validates the spec and positions the stream before the
@@ -87,6 +88,7 @@ func NewGenerator(g GenSpec) (*Generator, error) {
 		decay:      clamp01(g.DensityDecay),
 		clustering: clamp01(g.Clustering),
 		oneBias:    oneBias,
+		seen:       newSeenSet(g.NumBits),
 	}
 	if len(g.Geometry) > 0 {
 		gen.chainStart = make([]int, len(g.Geometry))
@@ -130,9 +132,9 @@ func (gen *Generator) Next() (*Cube, bool) {
 	nCare := min(max(int(math.Round(d*float64(g.NumBits))), 1), g.NumBits)
 	var c *Cube
 	if gen.chainStart != nil {
-		c = genScanCube(gen.rng, g, gen.chainStart, nCare, gen.clustering, gen.oneBias)
+		c = genScanCube(gen.rng, gen.seen, g, gen.chainStart, nCare, gen.clustering, gen.oneBias)
 	} else {
-		c = genFlatCube(gen.rng, g.NumBits, nCare, gen.clustering, gen.oneBias)
+		c = genFlatCube(gen.rng, gen.seen, g.NumBits, nCare, gen.clustering, gen.oneBias)
 	}
 	gen.i++
 	return c, true
