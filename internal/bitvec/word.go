@@ -1,7 +1,7 @@
-// Word-level primitives: the word-parallel substrate under the slice
-// and codec kernels. Everything here operates on whole 64-bit words —
-// popcounts, masked reads, bulk bit copies, trailing-zero iteration and
-// a 64×64 bit-matrix transpose — so hot paths never touch bits one at a
+// Word-level primitives: the word-parallel substrate under the cube
+// store, the codecs and the simulator. Everything here operates on
+// whole 64-bit words — popcounts, masked reads, bulk bit copies and
+// trailing-zero iteration — so hot paths never touch bits one at a
 // time. Each primitive is property-tested against a per-bit reference
 // loop in word_test.go and cross-checked by FuzzWordKernels.
 package bitvec
@@ -185,27 +185,4 @@ func (w *Writer) AppendBits(b uint64, n int) {
 func (w *Writer) AppendRange(src []uint64, srcOff, n int) {
 	CopyBits(w.words, w.pos, src, srcOff, n)
 	w.pos += n
-}
-
-// Transpose64 transposes the 64×64 bit matrix held in a, in place: bit
-// c of word r moves to bit r of word c. Words are rows; bit positions
-// are columns. This is the cube→slice re-slicing kernel: loading 64
-// chain-major rows and transposing yields 64 slice-major rows.
-//
-// The implementation is the classic recursive block swap (Hacker's
-// Delight §7-3 generalized to 64 bits and to LSB-first column
-// labeling): swap the off-diagonal 32×32 blocks, then the 16×16 blocks
-// within, down to single bits — 6 stages of masked shift-XOR on whole
-// words. At stage j, rows k with bit j clear trade their bit-j-set
-// columns for the bit-j-clear columns of rows k+j.
-func Transpose64(a *[64]uint64) {
-	m := uint64(0x00000000FFFFFFFF)
-	for j := 32; j != 0; j >>= 1 {
-		for k := 0; k < 64; k = (k + j + 1) &^ j {
-			t := (a[k]>>uint(j) ^ a[k+j]) & m
-			a[k+j] ^= t
-			a[k] ^= t << uint(j)
-		}
-		m ^= m << uint(j>>1)
-	}
 }

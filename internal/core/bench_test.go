@@ -8,7 +8,7 @@ import (
 )
 
 // benchCore is a mid-size synthetic core with ~320 care bits per cube,
-// sparse enough that the kernel prices it through the counter path.
+// an industrial-class care density.
 func benchCore() *soc.Core {
 	chains := make([]int, 64)
 	for i := range chains {
@@ -37,6 +37,13 @@ func BenchmarkTDCCostKernel(b *testing.B) {
 // care bit, cost the most.
 func BenchmarkTDCCostKernelWide(b *testing.B) {
 	benchmarkTDCCost(b, soc.MustIndustrialCore("ckt-8"), 1024)
+}
+
+// BenchmarkTDCCostKernelDense is the same kernel on the d695 core
+// s38584 at m = 32: dense cubes (care density 0.32, decaying over the
+// set), the d695 regime, where most slice rows hold several care bits.
+func BenchmarkTDCCostKernelDense(b *testing.B) {
+	benchmarkTDCCost(b, soc.D695().CoreByName("s38584"), 32)
 }
 
 func benchmarkTDCCost(b *testing.B, c *soc.Core, m int) {

@@ -67,28 +67,15 @@ const DefaultEvalWindow = 64
 const autoStreamRawBits = int64(1) << 31
 
 // evalWindow is the per-window state shared by every consumer of one
-// loaded cube window: the flattened care refs (cube.Window), the
-// window's position in the pass, the measured-density strategy choice,
-// and the dense path's m-independent flat planes. One producer
-// evaluator loads it; mirror evaluators (see mirror) price the same
-// window read-only through their own kernel scratch — the data-sharing
-// contract of the fused sweep (fused.go).
+// loaded cube window: the flattened care refs (cube.Window) and the
+// window's position in the pass. One producer evaluator loads it;
+// mirror evaluators (see mirror) price the same window read-only
+// through their own kernel scratch — the data-sharing contract of the
+// fused sweep (fused.go).
 type evalWindow struct {
 	cube.Window
 	start int // global index of the window's first cube
 	count int // cubes in the loaded window
-
-	// dense selects the plane-building strategy for this window's cubes
-	// (kernel.go), re-measured from each loaded window's care density.
-	dense bool
-
-	// Dense path: per-cube flat planes in flat stimulus order. They
-	// depend only on the window's cubes — not on m — so every evaluation
-	// point sharing the window shares them; they are rebuilt per load
-	// into recycled buffers.
-	flatWords int
-	flatCare  []uint64 // [cube][flatWords]
-	flatValue []uint64
 }
 
 // Evaluator evaluates test configurations of one core. It is the hot
@@ -107,7 +94,6 @@ type Evaluator struct {
 	src  cube.Source // the replayable cube stream (nil on a mirror)
 
 	patterns int // total cubes per evaluation pass
-	numBits  int // stimulus bits per cube
 	window   int // cubes per window; == patterns for the whole-set window
 
 	// win is the loaded cube window the kernels price against: &ownWin
@@ -205,7 +191,6 @@ func NewEvaluatorWindow(c *soc.Core, window int) (*Evaluator, error) {
 		core:     c,
 		src:      src,
 		patterns: src.Len(),
-		numBits:  src.NumBits(),
 		window:   window,
 	}
 	e.win = &e.ownWin
@@ -252,7 +237,6 @@ func (e *Evaluator) mirror() *Evaluator {
 	return &Evaluator{
 		core:     e.core,
 		patterns: e.patterns,
-		numBits:  e.numBits,
 		window:   e.window,
 		win:      e.win,
 	}
@@ -269,8 +253,8 @@ func (e *Evaluator) beginPass() {
 // returning false when the pass is exhausted. After a true return,
 // cubes [win.start, win.start+win.count) are loaded and patternOps
 // prices them by window-local index. A whole-set window is loaded on
-// the first pass and kept: later passes reuse it (and its flat planes)
-// without replaying the source.
+// the first pass and kept: later passes reuse it without replaying the
+// source.
 func (e *Evaluator) nextWindow() bool {
 	if e.passPos >= e.patterns {
 		return false
@@ -294,15 +278,6 @@ func (e *Evaluator) nextWindow() bool {
 		// treat it as end-of-pass rather than spinning.
 		e.passPos = e.patterns
 		return false
-	}
-	// The dense/sparse strategy is chosen per window from its measured
-	// density: a sweep over a decaying test set can use the transpose
-	// kernel for the dense head and the counter kernel for the sparse
-	// tail of one pass.
-	density := float64(e.win.CareBits()) / (float64(e.numBits) * float64(loaded))
-	e.win.dense = density >= denseDensityThreshold
-	if e.win.dense {
-		e.win.buildFlatPlanes(e.numBits)
 	}
 	if e.windowHist != nil {
 		e.windowHist.Observe(time.Since(t0))
@@ -416,7 +391,7 @@ func (e *Evaluator) PatternBits(m int) ([]int64, error) {
 	e.beginPass()
 	for e.nextWindow() {
 		for lj := 0; lj < e.win.count; lj++ {
-			out[j] = (si + e.patternOps(lj, k, true)) * w
+			out[j] = (si + e.patternOps(lj, true)) * w
 			j++
 		}
 	}
@@ -443,7 +418,7 @@ func (e *Evaluator) tdcCost(d *wrapper.Design, groupCopy bool) (time, volume int
 		for lj := 0; lj < e.win.count; lj++ {
 			// One header per slice (including fully-X slices) plus the
 			// encoding operations.
-			cw := si + e.patternOps(lj, k, groupCopy)
+			cw := si + e.patternOps(lj, groupCopy)
 			totalCW += cw
 			if j == 0 {
 				time += cw

@@ -165,11 +165,10 @@ func TestEvalTDCLargeCubeMatchesRealEncoder(t *testing.T) {
 	}
 }
 
-// forceKernel loads an evaluator's whole-set window and pins the
-// pricing strategy the kernels use for it (building the dense
-// path's flat planes when needed). The window stays loaded, so every
-// later pass prices through the forced strategy.
-func forceKernel(t *testing.T, c *soc.Core, dense bool) *Evaluator {
+// loadWholeSet returns an evaluator with its whole-set window loaded.
+// The window stays loaded, so every later pass prices against it
+// without replaying the source.
+func loadWholeSet(t *testing.T, c *soc.Core) *Evaluator {
 	t.Helper()
 	ev, err := NewEvaluator(c)
 	if err != nil {
@@ -179,82 +178,22 @@ func forceKernel(t *testing.T, c *soc.Core, dense bool) *Evaluator {
 	if !ev.nextWindow() || ev.win.count != ev.patterns {
 		t.Fatalf("%s: expected one whole-set window", c.Name)
 	}
-	ev.win.dense = dense
-	if dense {
-		ev.win.buildFlatPlanes(ev.numBits)
-	}
 	return ev
 }
 
-// TestKernelPathsAgree forces both pricing strategies of the slice
-// kernel — dense (flat planes + transpose) and sparse (per-care-bit
-// counters) — through the single kernel preparation onto the same
-// cores and requires identical costs from each, for both group-copy
-// settings. A third evaluator flips from dense to sparse in the middle
-// of a pass over its whole-set window, as a decaying test set does
-// between windows. The density heuristic may pick either path;
-// correctness must never depend on the choice.
-func TestKernelPathsAgree(t *testing.T) {
-	cores := []*soc.Core{
-		smallCore(7),
-		{Name: "dense", Inputs: 20, Outputs: 10, ScanChains: []int{70, 40, 40, 10},
-			Patterns: 15, CareDensity: 0.55, Clustering: 0.3, Seed: 9},
-		{Name: "thin", Inputs: 8, Outputs: 8, ScanChains: []int{90, 90, 90, 90, 90, 90},
-			Patterns: 12, CareDensity: 0.02, Clustering: 0.8, Seed: 31},
-		{Name: "comb", Inputs: 130, Outputs: 5, Patterns: 9,
-			CareDensity: 0.4, Seed: 12},
-	}
-	for _, c := range cores {
-		for _, m := range []int{1, 3, 17, c.MaxWrapperChains()} {
-			if m > c.MaxWrapperChains() {
-				continue
-			}
-			var results [2][2]Config
-			for pi, dense := range []bool{false, true} {
-				ev := forceKernel(t, c, dense)
-				for gi, gc := range []bool{true, false} {
-					cfg, err := ev.TDC(m, gc)
-					if err != nil {
-						t.Fatal(err)
-					}
-					results[pi][gi] = cfg
-				}
-			}
-			if results[0] != results[1] {
-				t.Errorf("%s m=%d: sparse %+v != dense %+v", c.Name, m, results[0], results[1])
-			}
-
-			sparse, flip := forceKernel(t, c, false), forceKernel(t, c, true)
-			d, err := flip.Design(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sparse.kernelPrepare(d)
-			flip.kernelPrepare(d)
-			k := int64(selenc.PayloadBits(m))
-			for _, gc := range []bool{true, false} {
-				for j := 0; j < flip.win.count; j++ {
-					flip.win.dense = j < flip.win.count/2
-					if got, want := flip.patternOps(j, k, gc), sparse.patternOps(j, k, gc); got != want {
-						t.Errorf("%s m=%d gc=%v cube %d (dense=%v): flipped pass %d ops, sparse %d",
-							c.Name, m, gc, j, flip.win.dense, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestSparseKernelMatchesEncoder pins the counter kernel (the sparse
-// path) against the real encoder, independently of the dense path. The
-// wide core has more than 200 wrapper chains, so the m axis covers a
-// single chain holding every stimulus bit (one group per slice), payload
+// TestKernelMatchesEncoder pins the slice-cost kernel against the real
+// encoder on cores of every shape the sweep meets: a small decaying
+// core; a dense (care density 0.55) and a thin (0.02) one; a
+// combinational core with no scan chains; the d695 core s38584; a wide
+// core with more than 200 wrapper chains, whose m axis covers a single
+// chain holding every stimulus bit (one group per slice), payload
 // widths that leave a partial last group, and slice rows of one and of
-// several 64-bit words. Hand-built cubes add the fill edge cases: a tie
-// row (fill 0), an all-X cube, a fully specified cube, and a group with
-// more than two targets. Both group-copy settings are checked; with
-// group copy off the reference counts target bits per slice.
-func TestSparseKernelMatchesEncoder(t *testing.T) {
+// several 64-bit words; and hand-built cubes with the fill edge cases —
+// a tie row (fill 0), an all-X cube, a fully specified cube, and a
+// group with more than two targets. Both group-copy settings are
+// checked; with group copy off the reference counts target bits per
+// slice.
+func TestKernelMatchesEncoder(t *testing.T) {
 	chains := make([]int, 160)
 	for i := range chains {
 		chains[i] = 6 + i%9
@@ -266,9 +205,27 @@ func TestSparseKernelMatchesEncoder(t *testing.T) {
 	if wide.MaxWrapperChains() <= 200 {
 		t.Fatalf("wide core has only %d wrapper chains", wide.MaxWrapperChains())
 	}
-	for _, c := range []*soc.Core{wide, edgeCubeCore(t)} {
-		ev := forceKernel(t, c, false)
-		for _, m := range []int{1, 2, 3, 7, 63, 64, 65, 127, 128, 129, c.MaxWrapperChains()} {
+	edges := []int{1, 2, 3, 7, 63, 64, 65, 127, 128, 129}
+	small := []int{1, 3, 17}
+	cases := []struct {
+		c  *soc.Core
+		ms []int // plus MaxWrapperChains
+	}{
+		{smallCore(7), small},
+		{&soc.Core{Name: "dense", Inputs: 20, Outputs: 10, ScanChains: []int{70, 40, 40, 10},
+			Patterns: 15, CareDensity: 0.55, Clustering: 0.3, Seed: 9}, small},
+		{&soc.Core{Name: "thin", Inputs: 8, Outputs: 8, ScanChains: []int{90, 90, 90, 90, 90, 90},
+			Patterns: 12, CareDensity: 0.02, Clustering: 0.8, Seed: 31}, small},
+		{&soc.Core{Name: "comb", Inputs: 130, Outputs: 5, Patterns: 9,
+			CareDensity: 0.4, Seed: 12}, small},
+		{soc.D695().CoreByName("s38584"), []int{1, 3, 17, 32}},
+		{wide, edges},
+		{edgeCubeCore(t), edges},
+	}
+	for _, tc := range cases {
+		c := tc.c
+		ev := loadWholeSet(t, c)
+		for _, m := range append(tc.ms, c.MaxWrapperChains()) {
 			if m > c.MaxWrapperChains() {
 				continue
 			}
@@ -280,7 +237,7 @@ func TestSparseKernelMatchesEncoder(t *testing.T) {
 				gotTime, gotVol := ev.tdcCost(d, gc)
 				wantTime, wantVol := referenceTDC(t, c, m, gc)
 				if gotTime != wantTime || gotVol != wantVol {
-					t.Errorf("%s m=%d gc=%v: sparse kernel (τ=%d, V=%d) != encoder (τ=%d, V=%d)",
+					t.Errorf("%s m=%d gc=%v: kernel (τ=%d, V=%d) != encoder (τ=%d, V=%d)",
 						c.Name, m, gc, gotTime, gotVol, wantTime, wantVol)
 				}
 			}
@@ -337,14 +294,16 @@ func edgeCubeCore(t *testing.T) *soc.Core {
 }
 
 // TestKernelSteadyStateZeroAlloc is the 0 allocs/op gate for the slice
-// kernel: once the scratch is warm, repeated tdcCost calls on
-// both paths must not allocate. Run by the `make check`
-// kernel-equivalence target.
+// kernel: once the scratch is warm, repeated tdcCost calls must not
+// allocate, on a small synthetic core and on the d695 core s38584. Run
+// by the `make check` kernel-equivalence target.
 func TestKernelSteadyStateZeroAlloc(t *testing.T) {
-	c := smallCore(77)
-	for _, dense := range []bool{false, true} {
-		ev := forceKernel(t, c, dense)
-		d, err := ev.Design(9)
+	for _, tc := range []struct {
+		c *soc.Core
+		m int
+	}{{smallCore(77), 9}, {soc.D695().CoreByName("s38584"), 32}} {
+		ev := loadWholeSet(t, tc.c)
+		d, err := ev.Design(tc.m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,7 +313,7 @@ func TestKernelSteadyStateZeroAlloc(t *testing.T) {
 			ev.tdcCost(d, false)
 		})
 		if allocs != 0 {
-			t.Errorf("dense=%v: steady-state tdcCost allocates %.1f allocs/op, want 0", dense, allocs)
+			t.Errorf("%s m=%d: steady-state tdcCost allocates %.1f allocs/op, want 0", tc.c.Name, tc.m, allocs)
 		}
 	}
 }

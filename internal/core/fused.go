@@ -3,19 +3,19 @@
 // each loaded cube window before the next window loads, instead of
 // running one full pass over the test set per point. One producer
 // evaluator streams the cube source once per batch; each window is
-// flattened (and, on the dense path, scattered into flat planes)
-// exactly once and shared read-only with a crew of mirror evaluators
-// that carry the per-point partial state forward. The per-pass
-// evaluator cursor of tdcCost is replaced by per-point accumulators
-// (codeword totals and the overlapped-shift time sum), and the band
-// sweep's incumbent pruning becomes mid-pass: a point whose running
-// lower bound is already strictly lex-worse than the best upper bound
-// among its band's peers (or the band incumbent from earlier batches)
-// drops out at a window boundary. Both pruning rules are exact, so
-// fused tables are DeepEqual-identical to the plain band sweep's over
-// a whole-set window (and to their checked-in golden digests — the
-// fused-equivalence gate of `make check`), while `eval.window_loads`
-// falls from O(points × windows) to O(batches × windows).
+// flattened exactly once and shared read-only with a crew of mirror
+// evaluators that carry the per-point partial state forward. The
+// per-pass evaluator cursor of tdcCost is replaced by per-point
+// accumulators (codeword totals and the overlapped-shift time sum), and
+// the band sweep's incumbent pruning becomes mid-pass: a point whose
+// running lower bound is already strictly lex-worse than the best upper
+// bound among its band's peers (or the band incumbent from earlier
+// batches) drops out at a window boundary. Both pruning rules are
+// exact, so fused tables are DeepEqual-identical to the plain band
+// sweep's over a whole-set window (and to their checked-in golden
+// digests — the fused-equivalence gate of `make check`), while
+// `eval.window_loads` falls from O(points × windows) to O(batches ×
+// windows).
 package core
 
 import (
@@ -32,8 +32,8 @@ import (
 )
 
 // fusedBatchPoints bounds how many evaluation points share one
-// streamed pass. Each in-flight point pins its wrapper design (and, on
-// sparse windows, that design's stimulus map), so the batch size
+// streamed pass. Each in-flight point pins its wrapper design and that
+// design's stimulus map, so the batch size
 // trades pass count against peak memory; 64 keeps a giant-profile
 // band sweep at a handful of passes while the resident designs stay
 // far below one window of cube data. A variable so tests can force
@@ -48,7 +48,6 @@ type fusedPoint struct {
 	band int // index into the band jobs
 	m    int
 	w    int64 // codeword width CodewordWidth(m)
-	k    int64 // payload bits
 	d    *wrapper.Design
 	si   int64
 	so   int64
@@ -150,14 +149,13 @@ func sweepBandsFused(ctx context.Context, c *soc.Core, opts TableOptions, bands 
 					continue
 				}
 			}
-			k := int64(selenc.PayloadBits(r.m))
 			si := int64(d.ScanIn)
 			ub := int64(r.m)
 			if g := 2 * int64(selenc.GroupCount(r.m)); g < ub {
 				ub = g
 			}
 			batch = append(batch, &fusedPoint{
-				band: r.band, m: r.m, w: k + 2, k: k, d: d,
+				band: r.band, m: r.m, w: int64(selenc.CodewordWidth(r.m)), d: d,
 				si: si, so: int64(d.ScanOut), ubcw: si * (1 + ub),
 			})
 		}
@@ -248,11 +246,11 @@ func runFusedPass(ctx context.Context, producer *Evaluator, opts TableOptions, b
 // pass. Steady state is allocation-free (gate-enforced).
 func (e *Evaluator) priceWindowPoint(p *fusedPoint) {
 	e.kernelPrepare(p.d)
-	si, so, k := p.si, p.so, p.k
+	si, so := p.si, p.so
 	totalCW, timeAcc := p.totalCW, p.timeAcc
 	base := e.win.start
 	for lj := 0; lj < e.win.count; lj++ {
-		cw := si + e.patternOps(lj, k, true)
+		cw := si + e.patternOps(lj, true)
 		totalCW += cw
 		if base+lj == 0 {
 			timeAcc += cw

@@ -133,7 +133,7 @@ func TestFusedCountersWorkerInvariance(t *testing.T) {
 
 // TestFusedWindowKernelZeroAlloc is the steady-state allocation gate on
 // the fused window kernel: once a point's design is prepared and the
-// window planes are warm, pricing a window against a point — on the
+// kernel scratch is warm, pricing a window against a point — on the
 // producer and on a mirror alike — must not allocate.
 func TestFusedWindowKernelZeroAlloc(t *testing.T) {
 	c := compressibleCore(3)
@@ -149,8 +149,7 @@ func TestFusedWindowKernelZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k := int64(selenc.PayloadBits(m))
-		return &fusedPoint{m: m, w: k + 2, k: k, d: d, si: int64(d.ScanIn), so: int64(d.ScanOut)}
+		return &fusedPoint{m: m, w: int64(selenc.CodewordWidth(m)), d: d, si: int64(d.ScanIn), so: int64(d.ScanOut)}
 	}
 	p := newPoint(8)
 	mir := ev.mirror()
@@ -159,7 +158,7 @@ func TestFusedWindowKernelZeroAlloc(t *testing.T) {
 	if !ev.nextWindow() {
 		t.Fatal("empty first window")
 	}
-	// Warm: design prep, lazy stimulus map, kernel scratch sizing.
+	// Warm: design prep, stimulus map, kernel scratch sizing.
 	ev.priceWindowPoint(p)
 	mir.priceWindowPoint(mp)
 	if allocs := testing.AllocsPerRun(20, func() {

@@ -27,10 +27,10 @@ func trimmedCore(c *soc.Core, patterns int) *soc.Core {
 	return out
 }
 
-// decayCore has a strongly decaying density profile chosen so that at
-// small windows the head windows measure dense (≥ denseDensityThreshold)
-// and the tail windows sparse — every pass flips the kernel strategy
-// mid-stream, so both pricing paths run within one pass.
+// decayCore has a strongly decaying density profile: at small windows
+// the head windows carry many times the care bits of the tail windows,
+// so the kernel's counters and key buffer see both extremes within one
+// pass, across window boundaries.
 func decayCore(seed int64) *soc.Core {
 	return &soc.Core{
 		Name: "decay", Inputs: 10, Outputs: 8,
@@ -155,7 +155,7 @@ func FuzzStreamingWindowEquivalence(f *testing.F) {
 	f.Add(int64(2), 65, 0.05, 64, 6) // one cube past a window boundary
 	f.Add(int64(3), 64, 0.30, 64, 3) // exactly one full window
 	f.Add(int64(4), 63, 0.20, 64, 5) // one cube short of a window
-	f.Add(int64(5), 33, 0.16, 16, 2) // dense head / sparse tail splits
+	f.Add(int64(5), 33, 0.16, 16, 2) // decaying head and tail in separate windows
 	f.Add(int64(6), 10, 0.90, 3, 7)  // saturated cubes
 	f.Fuzz(func(t *testing.T, seed int64, patterns int, density float64, window, m int) {
 		if patterns < 1 || patterns > 120 {

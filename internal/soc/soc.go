@@ -210,9 +210,9 @@ func (c *Core) TestSource() (cube.Source, error) {
 }
 
 // StimulusVolumeBits returns NumBits × Patterns as an int64 — the raw
-// stimulus image size the materialized evaluator path would shadow in
-// its flat planes, used to decide when to stream instead. Overflow-safe
-// for any core passing Validate.
+// stimulus image size of the whole test set, used to decide when the
+// evaluator streams it in windows instead of loading it at once.
+// Overflow-safe for any core passing Validate.
 func (c *Core) StimulusVolumeBits() int64 {
 	return int64(c.StimulusBits()) * int64(c.Patterns)
 }

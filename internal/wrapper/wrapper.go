@@ -46,9 +46,6 @@ type Design struct {
 
 	refsOnce sync.Once
 	refs     []CellRef
-
-	segsOnce sync.Once
-	segs     []StimulusSegment
 }
 
 // New builds a wrapper design with m wrapper chains using best-fit-
@@ -275,59 +272,4 @@ func (d *Design) buildStimulusMap() []CellRef {
 		}
 	}
 	return refs
-}
-
-// StimulusSegment is a maximal run of flat stimulus cells that land on
-// one wrapper chain at consecutive depths: flat cells
-// [FlatStart, FlatStart+Len) map to chain Chain at depths
-// [DepthStart, DepthStart+Len). The whole stimulus map decomposes into
-// one segment per chain's input-cell prefix plus one per internal scan
-// chain, so bulk bit-copies can replace per-cell CellRef walks.
-type StimulusSegment struct {
-	FlatStart  int
-	Chain      int
-	DepthStart int
-	Len        int
-}
-
-// StimulusSegments returns the segment decomposition of StimulusMap,
-// ordered by FlatStart. Like StimulusMap it is computed once and shared;
-// callers must treat it as read-only.
-func (d *Design) StimulusSegments() []StimulusSegment {
-	d.segsOnce.Do(func() { d.segs = d.buildStimulusSegments() })
-	return d.segs
-}
-
-func (d *Design) buildStimulusSegments() []StimulusSegment {
-	segs := make([]StimulusSegment, 0, len(d.Chains)+len(d.Core.ScanChains))
-
-	flat := 0
-	for ci := range d.Chains {
-		if n := d.Chains[ci].InCells; n > 0 {
-			segs = append(segs, StimulusSegment{FlatStart: flat, Chain: ci, DepthStart: 0, Len: n})
-			flat += n
-		}
-	}
-
-	scanFlatStart := make([]int, len(d.Core.ScanChains))
-	off := d.Core.InCells()
-	for i, l := range d.Core.ScanChains {
-		scanFlatStart[i] = off
-		off += l
-	}
-	type chainSeg struct{ flatStart, chain, depthStart, length int }
-	var scanSegs []chainSeg
-	for ci := range d.Chains {
-		depth := d.Chains[ci].InCells
-		for _, scIdx := range d.Chains[ci].ScanChains {
-			l := d.Core.ScanChains[scIdx]
-			scanSegs = append(scanSegs, chainSeg{scanFlatStart[scIdx], ci, depth, l})
-			depth += l
-		}
-	}
-	slices.SortFunc(scanSegs, func(a, b chainSeg) int { return a.flatStart - b.flatStart })
-	for _, s := range scanSegs {
-		segs = append(segs, StimulusSegment{FlatStart: s.flatStart, Chain: s.chain, DepthStart: s.depthStart, Len: s.length})
-	}
-	return segs
 }

@@ -342,40 +342,3 @@ func BenchmarkStimulusMap(b *testing.B) {
 		_ = d.StimulusMap()
 	}
 }
-
-func TestStimulusSegmentsMatchMap(t *testing.T) {
-	cores := []*soc.Core{
-		testCore(),
-		{Name: "comb", Inputs: 9, Outputs: 4, Patterns: 5, CareDensity: 0.5, Seed: 2},
-		{Name: "wide", Inputs: 3, Outputs: 1, ScanChains: []int{17, 17, 5, 1, 1, 90}, Patterns: 7, CareDensity: 0.1, Seed: 3},
-	}
-	for _, c := range cores {
-		for m := 1; m <= c.MaxWrapperChains(); m++ {
-			d, err := New(c, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refs := d.StimulusMap()
-			segs := d.StimulusSegments()
-			covered := 0
-			prevFlat := -1
-			for _, s := range segs {
-				if s.FlatStart <= prevFlat {
-					t.Fatalf("%s m=%d: segments not ordered by FlatStart", c.Name, m)
-				}
-				prevFlat = s.FlatStart
-				for k := 0; k < s.Len; k++ {
-					want := refs[s.FlatStart+k]
-					if int(want.Chain) != s.Chain || int(want.Depth) != s.DepthStart+k {
-						t.Fatalf("%s m=%d: segment %+v disagrees with map at flat %d: %+v",
-							c.Name, m, s, s.FlatStart+k, want)
-					}
-				}
-				covered += s.Len
-			}
-			if covered != len(refs) {
-				t.Fatalf("%s m=%d: segments cover %d cells, map has %d", c.Name, m, covered, len(refs))
-			}
-		}
-	}
-}
