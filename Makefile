@@ -1,11 +1,16 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-short bench-smoke bench-json bench-big bench-big-smoke bench-compare telemetry-overhead kernel-equivalence generator-golden fused-equivalence robustness cachefmt obs serve cli
+.PHONY: check loc vet build test race bench bench-short bench-smoke bench-json bench-big bench-big-smoke bench-compare telemetry-overhead kernel-equivalence generator-golden fused-equivalence robustness cachefmt obs serve cli
 
 # check is the tier-1 gate: everything must pass before a change lands.
 # A PR that touches the kernels or the sweep should also refresh the
 # dated benchmark archive with `make bench-json` and note the numbers.
 check: vet build test race bench-smoke bench-big-smoke telemetry-overhead kernel-equivalence generator-golden fused-equivalence robustness cachefmt obs serve cli
+
+# loc prints the non-test Go line count outside the benchmark module and
+# its build cache — the size figure the roadmap tracks.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 vet:
 	$(GO) vet ./...
@@ -56,7 +61,7 @@ bench-json:
 	  $(GO) test -run '^$$' -bench 'BenchmarkTDCCostKernel$$|BenchmarkTDCCostKernelWide$$|BenchmarkTDCCostKernelDense$$' -count 5 -benchmem ./internal/core ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGenerateIndustrial$$|BenchmarkGenerateScan$$' -count 5 -benchmem ./internal/cube ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkGreedySchedule$$' -count 5 -benchmem ./internal/sched ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkDiskLoad$$|BenchmarkCacheGetParallel' -benchmem ./internal/core ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkDiskLoad$$|BenchmarkCacheGetParallel$$' -benchmem ./internal/core ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkServeOptimizeWarm$$' -benchmem ./internal/serve ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_$$(date +%Y-%m-%d).json
 	@echo wrote BENCH_$$(date +%Y-%m-%d).json
@@ -86,8 +91,8 @@ bench-big-smoke:
 # exactness contracts: the counter kernel matches the real encoder on
 # small, dense, thin, combinational, d695 and wide cores across
 # slice-width edges (m = 1, k ∤ m, one- and multi-word rows), both
-# group-copy settings and hand-built fill edge cubes, and the one-shot
-# EvalTDC agrees with it; pruned band winners equal an unpruned sweep's
+# group-copy settings and hand-built fill edge cubes, and a fresh
+# evaluator's TDC agrees with it; pruned band winners equal an unpruned sweep's
 # on every d695/industrial core, steady-state tdcCost runs at 0
 # allocs/op on a synthetic and a d695 core, the evaluator primitives
 # price identically at every window (including the window-boundary
@@ -135,12 +140,13 @@ robustness:
 # and rejects corruption (tablecodec golden/rejection/fuzz-seed tests),
 # v2 entries round-trip bit-identical tables on every d695/industrial
 # core, the disk store honours its size bound (stray flat files from
-# the pre-shard layout included), and the sharded cache keeps
-# singleflight/LRU semantics under the race detector.
+# the pre-shard layout included), and the memory cache keeps
+# singleflight/LRU semantics under the race detector, with its budget
+# bounding the whole tier.
 cachefmt:
 	$(GO) test -run 'TestGoldenV2|TestHeaderRejection|TestVerifyCatchesTruncation|TestRoundTrip|TestDecodeArbitraryPrefixNeverPanics|FuzzTableCodecRoundTrip' -count=1 ./internal/tablecodec
 	$(GO) test -run 'TestFormatV2MatchesV1OnBenchmarks|TestDiskCacheRoundTrip|TestDiskCacheBitFlipNeverPanics|TestDiskCacheSizeBound|TestDiskCacheSizeBoundCountsFlatFiles' -count=1 ./internal/core
-	$(GO) test -race -count=1 -timeout 120s -run 'TestCacheShardedConcurrency|TestCacheShardSpread|TestCacheMemBound|TestCacheMemBoundEvictsLRU' ./internal/core
+	$(GO) test -race -count=1 -timeout 120s -run 'TestCacheMemBudgetIsTotal|TestCacheConcurrency|TestCacheMemBound|TestCacheMemBoundEvictsLRU' ./internal/core
 
 # telemetry-overhead asserts the zero-overhead-when-disabled contract:
 # the instrumented-but-disabled kernel and makespan paths must run at 0

@@ -10,6 +10,7 @@
 package soctap_test
 
 import (
+	"context"
 	"testing"
 
 	"soctap"
@@ -121,11 +122,15 @@ func BenchmarkAblationGroupCopy(b *testing.B) {
 	c := soc.MustIndustrialCore("ckt-9")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		with, err := soctap.EvalTDC(c, 255)
+		ev, err := core.NewEvaluator(c)
 		if err != nil {
 			b.Fatal(err)
 		}
-		without, err := core.EvalTDCNoGroupCopy(c, 255)
+		with, err := ev.TDC(255, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		without, err := ev.TDC(255, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -316,7 +321,7 @@ func BenchmarkAblationOptimalSchedule(b *testing.B) {
 	s := &soc.SOC{Name: "gapcheck", Cores: soc.D695().Cores[2:8]}
 	tables := make([]*soctap.Table, len(s.Cores))
 	for i, c := range s.Cores {
-		t, err := soctap.BuildTable(c, soctap.TableOptions{MaxWidth: 16})
+		t, err := soctap.BuildTableContext(context.Background(), c, soctap.TableOptions{MaxWidth: 16})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -54,6 +54,7 @@ func TestRunUsage(t *testing.T) {
 		{[]string{"fig2", "-bogus"}, 2},
 		{[]string{"fig2", "-table-cache-mem", "12 parsecs"}, 2},
 		{[]string{"fig2", "-table-cache-size", "1G"}, 2},
+		{[]string{"fig2", "-eval-window", "-1"}, 2},
 	}
 	for _, c := range cases {
 		var stdout, stderr bytes.Buffer

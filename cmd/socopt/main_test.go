@@ -101,6 +101,7 @@ func TestRunUsage(t *testing.T) {
 		{[]string{"-design", "d695", "-style", "bogus"}, 2},
 		{[]string{"-design", "d695", "-table-cache-mem", "12 parsecs"}, 2},
 		{[]string{"-design", "d695", "-table-cache-size", "1G"}, 2},
+		{[]string{"-design", "d695", "-eval-window", "-1"}, 2},
 		{[]string{"-design", "/nonexistent/x.soc"}, 1},
 	}
 	for _, c := range cases {

@@ -2,6 +2,7 @@ package soctap_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -56,14 +57,14 @@ func ExampleOptimize_styles() {
 	// compression shrinks ATE data: true
 }
 
-// ExampleSweepTDC reproduces the paper's key per-core observation: test
+// ExampleSweepTDCContext reproduces the paper's key per-core observation: test
 // time is not monotonic in the number of wrapper chains.
-func ExampleSweepTDC() {
+func ExampleSweepTDCContext() {
 	core, err := soctap.IndustrialCore("ckt-7")
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfgs, err := soctap.SweepTDC(core, 128, 255) // the w = 10 band
+	cfgs, err := soctap.SweepTDCContext(context.Background(), core, 128, 255, 0) // the w = 10 band
 	if err != nil {
 		log.Fatal(err)
 	}

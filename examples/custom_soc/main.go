@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -77,7 +78,7 @@ func main() {
 	// that forbids testing both big cores concurrently.
 	tables := make([]*soctap.Table, len(reloaded.Cores))
 	for i, c := range reloaded.Cores {
-		t, err := soctap.BuildTable(c, soctap.TableOptions{MaxWidth: 20})
+		t, err := soctap.BuildTableContext(context.Background(), c, soctap.TableOptions{MaxWidth: 20})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -32,7 +33,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfgs, err := soctap.SweepTDC(ckt, lo, hi)
+	cfgs, err := soctap.SweepTDCContext(context.Background(), ckt, lo, hi, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func main() {
 
 	// Build the full lookup table the optimizer uses: best configuration
 	// per TAM width, direct vs compressed.
-	tab, err := soctap.BuildTable(ckt, soctap.TableOptions{MaxWidth: 16})
+	tab, err := soctap.BuildTableContext(context.Background(), ckt, soctap.TableOptions{MaxWidth: 16})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,11 +83,15 @@ func main() {
 	// Codec ablation: how much of the compression comes from group-copy
 	// mode versus single-bit mode alone?
 	m := ms[best]
-	with, err := soctap.EvalTDC(ckt, m)
+	ev, err := core.NewEvaluator(ckt)
 	if err != nil {
 		log.Fatal(err)
 	}
-	without, err := core.EvalTDCNoGroupCopy(ckt, m)
+	with, err := ev.TDC(m, true)
+	if err != nil {
+		log.Fatal(err)
+	}
+	without, err := ev.TDC(m, false)
 	if err != nil {
 		log.Fatal(err)
 	}

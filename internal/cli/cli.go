@@ -97,6 +97,15 @@ func (f *CacheFlags) Cache() (*core.Cache, error) {
 	return c, nil
 }
 
+// CheckEvalWindow is the eval-window rule shared by every front end: a
+// negative window is rejected before any work starts.
+func CheckEvalWindow(n int) error {
+	if n < 0 {
+		return errors.New("eval-window must be >= 0 (0 = automatic)")
+	}
+	return nil
+}
+
 // Flags are the flags of a one-shot optimizer run (socopt, repro): the
 // table cache, the evaluation-engine bounds, and the run reports.
 type Flags struct {
@@ -123,6 +132,16 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to this file (taken at exit)")
 	fs.StringVar(&f.Trace, "trace", "", "write a runtime execution trace to this file")
+}
+
+// Cache validates the run flags and returns the table cache they
+// describe (see CacheFlags.Cache). A negative -eval-window is an error,
+// like a bad cache flag, so both fail before the run starts.
+func (f *Flags) Cache() (*core.Cache, error) {
+	if err := CheckEvalWindow(f.EvalWindow); err != nil {
+		return nil, err
+	}
+	return f.CacheFlags.Cache()
 }
 
 // Run is a started run: the profiles, telemetry sink and metrics

@@ -199,7 +199,7 @@ func BenchmarkFusedGiantTable(b *testing.B) {
 		}
 	}
 	opts := TableOptions{MaxWidth: 12, BandSamples: 4, EvalWindow: DefaultEvalWindow}
-	ref, err := BuildTable(freshCore(probe), TableOptions{MaxWidth: opts.MaxWidth, BandSamples: opts.BandSamples})
+	ref, err := BuildTableContext(context.Background(), freshCore(probe), TableOptions{MaxWidth: opts.MaxWidth, BandSamples: opts.BandSamples})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"soctap/internal/soc"
@@ -121,7 +122,7 @@ func benchmarkBuildTable(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildTable(c, opts); err != nil {
+		if _, err := BuildTableContext(context.Background(), c, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

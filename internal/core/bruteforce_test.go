@@ -7,6 +7,7 @@ package core
 // quality).
 
 import (
+	"context"
 	"testing"
 
 	"soctap/internal/soc"
@@ -20,7 +21,7 @@ func bruteForceOptimum(t *testing.T, s *soc.SOC, wtam int, style Style) int64 {
 	t.Helper()
 	tables := make([]*Table, len(s.Cores))
 	for i, c := range s.Cores {
-		tab, err := BuildTable(c, TableOptions{MaxWidth: wtam, BandSamples: -1})
+		tab, err := BuildTableContext(context.Background(), c, TableOptions{MaxWidth: wtam, BandSamples: -1})
 		if err != nil {
 			t.Fatal(err)
 		}

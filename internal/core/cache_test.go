@@ -1,7 +1,7 @@
 package core
 
-// Tests for cache tier 2.0: the bounded disk store, the sharded
-// in-memory LRU, and the v2 format on the paper's benchmark cores.
+// Tests for cache tier 2.0: the bounded disk store, the in-memory LRU,
+// and the v2 format on the paper's benchmark cores.
 
 import (
 	"context"
@@ -25,11 +25,11 @@ func TestCacheNegativeBandSamplesShareKey(t *testing.T) {
 	var builds atomic.Int64
 	cc.buildHook = func(*soc.Core, TableOptions) { builds.Add(1) }
 	c := compressibleCore(7)
-	a, err := cc.Get(c, TableOptions{MaxWidth: 8, BandSamples: -1})
+	a, err := cc.GetContext(context.Background(), c, TableOptions{MaxWidth: 8, BandSamples: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cc.Get(c, TableOptions{MaxWidth: 8, BandSamples: -7})
+	b, err := cc.GetContext(context.Background(), c, TableOptions{MaxWidth: 8, BandSamples: -7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestFormatV2MatchesV1OnBenchmarks(t *testing.T) {
 	opts := TableOptions{MaxWidth: 12, BandSamples: 8}
 	for _, c := range cores {
 		t.Run(c.Name, func(t *testing.T) {
-			built, err := BuildTable(c, opts)
+			built, err := BuildTableContext(context.Background(), c, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +98,7 @@ func TestDiskCacheSizeBoundCountsFlatFiles(t *testing.T) {
 	dir := t.TempDir()
 	opts := TableOptions{MaxWidth: 8}
 	probe := compressibleCore(120)
-	built, err := BuildTable(probe, opts)
+	built, err := BuildTableContext(context.Background(), probe, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestDiskCacheSizeBoundCountsFlatFiles(t *testing.T) {
 	cache.SetDiskLimit(budget)
 	sink := telemetry.New()
 	for _, c := range []*soc.Core{probe, compressibleCore(121)} {
-		if _, err := cache.get(context.Background(), c, opts, sink); err != nil {
+		if _, err := cache.GetInstrumentedContext(context.Background(), c, opts, sink); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,7 +165,7 @@ func TestDiskCacheSizeBound(t *testing.T) {
 
 	// Size one entry to pick a cap that fits exactly two.
 	probe := compressibleCore(100)
-	built, err := BuildTable(probe, opts)
+	built, err := BuildTableContext(context.Background(), probe, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestDiskCacheSizeBound(t *testing.T) {
 	var lastKey string
 	for seed := int64(101); seed <= 105; seed++ {
 		c := compressibleCore(seed)
-		if _, err := cache.get(context.Background(), c, opts, sink); err != nil {
+		if _, err := cache.GetInstrumentedContext(context.Background(), c, opts, sink); err != nil {
 			t.Fatal(err)
 		}
 		lastKey = contentKey(c, opts.normalized())
@@ -217,7 +217,7 @@ func TestDiskCacheSizeBound(t *testing.T) {
 	second.SetDir(dir)
 	second.SetDiskLimit(entrySize + entrySize/2)
 	sink2 := telemetry.New()
-	if _, err := second.get(context.Background(), compressibleCore(106), opts, sink2); err != nil {
+	if _, err := second.GetInstrumentedContext(context.Background(), compressibleCore(106), opts, sink2); err != nil {
 		t.Fatal(err)
 	}
 	files = cacheDirEntries(t, dir)
@@ -239,11 +239,11 @@ func TestCacheMemBound(t *testing.T) {
 	var builds atomic.Int64
 	bounded.buildHook = func(*soc.Core, TableOptions) { builds.Add(1) }
 	sink := telemetry.New()
-	first, err := bounded.get(context.Background(), c, opts, sink)
+	first, err := bounded.GetInstrumentedContext(context.Background(), c, opts, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := bounded.get(context.Background(), c, opts, sink)
+	second, err := bounded.GetInstrumentedContext(context.Background(), c, opts, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,10 +268,10 @@ func TestCacheMemBound(t *testing.T) {
 	var builds2 atomic.Int64
 	roomy.buildHook = func(*soc.Core, TableOptions) { builds2.Add(1) }
 	sink2 := telemetry.New()
-	if _, err := roomy.get(context.Background(), c, opts, sink2); err != nil {
+	if _, err := roomy.GetInstrumentedContext(context.Background(), c, opts, sink2); err != nil {
 		t.Fatal(err)
 	}
-	tab, err := roomy.get(context.Background(), c, opts, sink2)
+	tab, err := roomy.GetInstrumentedContext(context.Background(), c, opts, sink2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,53 +284,51 @@ func TestCacheMemBound(t *testing.T) {
 	}
 }
 
-// TestCacheMemBoundEvictsLRU: with room for roughly one table per
-// shard-resident key, the least recently used entry goes first — the
-// re-touched key survives while the untouched one is evicted (observable
-// as exactly one extra rebuild).
-func TestCacheMemBoundEvictsLRU(t *testing.T) {
-	// Three cores whose keys land in one shard would be ideal, but shard
-	// placement is hash-determined; instead give the whole cache a
-	// budget of ~one table so every shard holds at most one, and drive
-	// one shard with two keys by brute-force search.
-	opts := TableOptions{MaxWidth: 8}
-	var cc Cache
-	probe, err := BuildTable(compressibleCore(200), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	size := tableMemBytes(probe)
-
-	// Find two seeds whose keys share a shard.
-	base := contentKey(compressibleCore(200), opts.normalized())
-	shardOf := func(key string) *cacheShard { return cc.shard(key) }
-	want := shardOf(base)
-	var partner int64
-	for seed := int64(201); ; seed++ {
-		if shardOf(contentKey(compressibleCore(seed), opts.normalized())) == want {
-			partner = seed
-			break
+// residentSize builds each core's table and returns their common
+// tableMemBytes, failing the test if the sizes differ: the LRU tests
+// size budgets in whole tables.
+func residentSize(t *testing.T, opts TableOptions, cores ...*soc.Core) int64 {
+	t.Helper()
+	var size int64
+	for i, c := range cores {
+		tab, err := BuildTableContext(context.Background(), c, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := tableMemBytes(tab); i == 0 {
+			size = n
+		} else if n != size {
+			t.Fatalf("table sizes differ: %d vs %d", n, size)
 		}
 	}
+	return size
+}
 
-	cc.SetMemLimit(size * cacheShards) // ~one resident table per shard
+// TestCacheMemBoundEvictsLRU: with room for one table, the least
+// recently used entry goes first — the re-touched key survives while
+// the untouched one is evicted (observable as exactly one extra
+// rebuild).
+func TestCacheMemBoundEvictsLRU(t *testing.T) {
+	opts := TableOptions{MaxWidth: 8}
+	a, b := compressibleCore(200), compressibleCore(201)
+	var cc Cache
+	cc.SetMemLimit(residentSize(t, opts, a, b))
 	var builds atomic.Int64
 	cc.buildHook = func(*soc.Core, TableOptions) { builds.Add(1) }
 
-	a, b := compressibleCore(200), compressibleCore(partner)
-	if _, err := cc.Get(a, opts); err != nil { // build a, resident
+	if _, err := cc.GetContext(context.Background(), a, opts); err != nil { // build a, resident
 		t.Fatal(err)
 	}
-	if _, err := cc.Get(b, opts); err != nil { // build b, evicts a (LRU)
+	if _, err := cc.GetContext(context.Background(), b, opts); err != nil { // build b, evicts a (LRU)
 		t.Fatal(err)
 	}
-	if _, err := cc.Get(b, opts); err != nil { // touch b: still resident
+	if _, err := cc.GetContext(context.Background(), b, opts); err != nil { // touch b: still resident
 		t.Fatal(err)
 	}
 	if n := builds.Load(); n != 2 {
 		t.Fatalf("%d builds in setup, want 2 (b must still be resident)", n)
 	}
-	if _, err := cc.Get(a, opts); err != nil { // a was evicted: rebuild
+	if _, err := cc.GetContext(context.Background(), a, opts); err != nil { // a was evicted: rebuild
 		t.Fatal(err)
 	}
 	if n := builds.Load(); n != 3 {
@@ -338,12 +336,51 @@ func TestCacheMemBoundEvictsLRU(t *testing.T) {
 	}
 }
 
-// TestCacheShardedConcurrency hammers many goroutines across many keys
-// on one Cache: every key must build exactly once (singleflight per
-// shard), every caller of a key must see the identical table pointer,
-// and — under -race via `make cachefmt` — the sharded map and LRU must
-// be data-race-free.
-func TestCacheShardedConcurrency(t *testing.T) {
+// TestCacheMemBudgetIsTotal: SetMemLimit bounds the whole memory tier.
+// A budget of two tables keeps a table resident (one build for two
+// Gets of its key), and a third key past the budget evicts only the
+// least recently used entry.
+func TestCacheMemBudgetIsTotal(t *testing.T) {
+	opts := TableOptions{MaxWidth: 8}
+	a, b, c := compressibleCore(210), compressibleCore(211), compressibleCore(212)
+	var cc Cache
+	cc.SetMemLimit(2 * residentSize(t, opts, a, b, c))
+	var builds atomic.Int64
+	cc.buildHook = func(*soc.Core, TableOptions) { builds.Add(1) }
+	sink := telemetry.New()
+	get := func(core *soc.Core) int64 {
+		t.Helper()
+		if _, err := cc.GetInstrumentedContext(context.Background(), core, opts, sink); err != nil {
+			t.Fatal(err)
+		}
+		return builds.Load()
+	}
+
+	get(a)
+	if n := get(a); n != 1 {
+		t.Fatalf("%d builds for two Gets of one key under a two-table budget, want 1", n)
+	}
+	get(b) // both fit
+	get(a) // touch a: b is now least recently used
+	if n := get(c); n != 3 {
+		t.Fatalf("%d builds after the third key, want 3", n)
+	}
+	if ev := sink.Snapshot().Counters["cache.evictions"]; ev != 1 {
+		t.Errorf("cache.evictions = %d after the third key, want 1", ev)
+	}
+	if n := get(a); n != 3 {
+		t.Errorf("recently used key rebuilt (%d builds), want it resident", n)
+	}
+	if n := get(b); n != 4 {
+		t.Errorf("%d builds after re-Get of the LRU key, want 4 (it was evicted)", n)
+	}
+}
+
+// TestCacheConcurrency hammers many goroutines across many keys on one
+// Cache: every key must build exactly once (singleflight), every caller
+// of a key must see the identical table pointer, and — under -race via
+// `make cachefmt` — the map and LRU must be data-race-free.
+func TestCacheConcurrency(t *testing.T) {
 	const keys = 8
 	const callersPerKey = 8
 	opts := TableOptions{MaxWidth: 6, Workers: 1}
@@ -369,7 +406,7 @@ func TestCacheShardedConcurrency(t *testing.T) {
 			wg.Add(1)
 			go func(i, j int) {
 				defer wg.Done()
-				tab, err := cc.Get(compressibleCore(coreSeed(i)), opts)
+				tab, err := cc.GetContext(context.Background(), compressibleCore(coreSeed(i)), opts)
 				if err != nil {
 					t.Errorf("key %d caller %d: %v", i, j, err)
 					return
@@ -392,20 +429,6 @@ func TestCacheShardedConcurrency(t *testing.T) {
 	}
 }
 
-// TestCacheShardSpread sanity-checks the shard function: real content
-// keys must not all collapse onto a few shards.
-func TestCacheShardSpread(t *testing.T) {
-	var cc Cache
-	used := map[*cacheShard]bool{}
-	opts := TableOptions{}.normalized()
-	for seed := int64(0); seed < 200; seed++ {
-		used[cc.shard(contentKey(compressibleCore(seed), opts))] = true
-	}
-	if len(used) < cacheShards/2 {
-		t.Errorf("200 keys landed on only %d/%d shards", len(used), cacheShards)
-	}
-}
-
 // TestDiskCacheBitFlipNeverPanics complements the fault-injection
 // suite: flipping any single byte of a valid v2 entry must either still
 // load the identical table (flips in slack bits) or land in
@@ -416,7 +439,7 @@ func TestDiskCacheBitFlipNeverPanics(t *testing.T) {
 	dir := t.TempDir()
 	var warm Cache
 	warm.SetDir(dir)
-	good, err := warm.Get(c, opts)
+	good, err := warm.GetContext(context.Background(), c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +461,7 @@ func TestDiskCacheBitFlipNeverPanics(t *testing.T) {
 			var cold Cache
 			cold.SetDir(dir)
 			sink := telemetry.New()
-			tab, err := cold.get(context.Background(), c, opts, sink)
+			tab, err := cold.GetInstrumentedContext(context.Background(), c, opts, sink)
 			if err != nil {
 				t.Fatalf("offset %d bit %#x: %v", off, bit, err)
 			}

@@ -40,7 +40,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 
 	var warm Cache
 	warm.SetDir(dir)
-	built, err := warm.Get(c, opts)
+	built, err := warm.GetContext(context.Background(), c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	cold.SetDir(dir)
 	var builds atomic.Int64
 	cold.buildHook = func(*soc.Core, TableOptions) { builds.Add(1) }
-	loaded, err := cold.Get(compressibleCore(11), opts)
+	loaded, err := cold.GetContext(context.Background(), compressibleCore(11), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestDiskCacheCorruption(t *testing.T) {
 			dir := t.TempDir()
 			var warm Cache
 			warm.SetDir(dir)
-			built, err := warm.Get(c, opts)
+			built, err := warm.GetContext(context.Background(), c, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +140,7 @@ func TestDiskCacheCorruption(t *testing.T) {
 			again.SetDir(dir)
 			var builds atomic.Int64
 			again.buildHook = func(*soc.Core, TableOptions) { builds.Add(1) }
-			rebuilt, err := again.Get(c, opts)
+			rebuilt, err := again.GetContext(context.Background(), c, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,7 +159,7 @@ func TestDiskCacheCorruption(t *testing.T) {
 			third.SetDir(dir)
 			var builds3 atomic.Int64
 			third.buildHook = func(*soc.Core, TableOptions) { builds3.Add(1) }
-			if _, err := third.Get(c, opts); err != nil {
+			if _, err := third.GetContext(context.Background(), c, opts); err != nil {
 				t.Fatal(err)
 			}
 			if n := builds3.Load(); n != 0 {
@@ -182,7 +182,7 @@ func TestDiskCacheCorruptionTelemetry(t *testing.T) {
 	cold := telemetry.New()
 	var warm Cache
 	warm.SetDir(dir)
-	if _, err := warm.get(context.Background(), c, opts, cold); err != nil {
+	if _, err := warm.GetInstrumentedContext(context.Background(), c, opts, cold); err != nil {
 		t.Fatal(err)
 	}
 	cn := cold.Snapshot().Counters
@@ -194,7 +194,7 @@ func TestDiskCacheCorruptionTelemetry(t *testing.T) {
 	hit := telemetry.New()
 	var second Cache
 	second.SetDir(dir)
-	if _, err := second.get(context.Background(), compressibleCore(14), opts, hit); err != nil {
+	if _, err := second.GetInstrumentedContext(context.Background(), compressibleCore(14), opts, hit); err != nil {
 		t.Fatal(err)
 	}
 	hn := hit.Snapshot().Counters
@@ -216,7 +216,7 @@ func TestDiskCacheCorruptionTelemetry(t *testing.T) {
 	var third Cache
 	third.SetDir(dir)
 	third.SetWarn(func(msg string) { warnings = append(warnings, msg) })
-	if _, err := third.get(context.Background(), compressibleCore(14), opts, corrupt); err != nil {
+	if _, err := third.GetInstrumentedContext(context.Background(), compressibleCore(14), opts, corrupt); err != nil {
 		t.Fatal(err)
 	}
 	kn := corrupt.Snapshot().Counters
@@ -235,7 +235,7 @@ func TestDiskCacheCorruptionTelemetry(t *testing.T) {
 	again := telemetry.New()
 	var fourth Cache
 	fourth.SetDir(dir)
-	if _, err := fourth.get(context.Background(), compressibleCore(14), opts, again); err != nil {
+	if _, err := fourth.GetInstrumentedContext(context.Background(), compressibleCore(14), opts, again); err != nil {
 		t.Fatal(err)
 	}
 	if an := again.Snapshot().Counters; an["diskcache.hits"] != 1 {
@@ -299,7 +299,7 @@ func TestDiskStoreTouchErrorCounted(t *testing.T) {
 
 	build := func(seed int64) (string, *Table) {
 		c := compressibleCore(seed)
-		tab, err := BuildTable(c, opts)
+		tab, err := BuildTableContext(context.Background(), c, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -434,53 +434,3 @@ func (e *Evaluator) tdcCost(d *wrapper.Design, groupCopy bool) (time, volume int
 	volume = totalCW * w
 	return time, volume
 }
-
-// EvalNoTDC evaluates testing the core through m direct TAM wires with
-// a one-shot evaluator. Sweeps should reuse an Evaluator instead.
-func EvalNoTDC(c *soc.Core, m int) (Config, error) {
-	// Direct access needs no test set, so keep the historical behavior
-	// of not generating one.
-	d, err := wrapper.New(c, m)
-	if err != nil {
-		return Config{}, err
-	}
-	return Config{
-		Feasible: true,
-		Width:    m,
-		M:        m,
-		Time:     d.TestTime(),
-		Volume:   d.StimulusVolume(),
-	}, nil
-}
-
-// EvalTDC evaluates one compressed configuration with a one-shot
-// evaluator. Sweeps should reuse an Evaluator instead.
-func EvalTDC(c *soc.Core, m int) (Config, error) {
-	e, err := NewEvaluator(c)
-	if err != nil {
-		return Config{}, err
-	}
-	return e.TDC(m, true)
-}
-
-// EvalTDCNoGroupCopy is EvalTDC with group-copy mode disabled: every
-// target bit costs one single-bit codeword. This is the ablation knob
-// for the two-mode codec design choice.
-func EvalTDCNoGroupCopy(c *soc.Core, m int) (Config, error) {
-	e, err := NewEvaluator(c)
-	if err != nil {
-		return Config{}, err
-	}
-	return e.TDC(m, false)
-}
-
-// PatternBits returns the exact compressed size in bits of every test
-// pattern of the core under selective encoding with m wrapper chains,
-// with a one-shot evaluator.
-func PatternBits(c *soc.Core, m int) ([]int64, error) {
-	e, err := NewEvaluator(c)
-	if err != nil {
-		return nil, err
-	}
-	return e.PatternBits(m)
-}

@@ -93,10 +93,19 @@ func sortCare(care []selenc.CareBit) {
 	}
 }
 
+// evalTDC prices one compressed configuration with a fresh evaluator.
+func evalTDC(c *soc.Core, m int, groupCopy bool) (Config, error) {
+	ev, err := NewEvaluator(c)
+	if err != nil {
+		return Config{}, err
+	}
+	return ev.TDC(m, groupCopy)
+}
+
 func TestEvalTDCMatchesRealEncoder(t *testing.T) {
 	c := smallCore(11)
 	for _, m := range []int{1, 2, 3, 5, 8, 13, c.MaxWrapperChains()} {
-		got, err := EvalTDC(c, m)
+		got, err := evalTDC(c, m, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +136,7 @@ func TestQuickCostModelEquivalence(t *testing.T) {
 			Seed: seed,
 		}
 		m := rng.Intn(c.MaxWrapperChains()) + 1
-		got, err := EvalTDC(c, m)
+		got, err := evalTDC(c, m, true)
 		if err != nil {
 			return false
 		}
@@ -153,7 +162,7 @@ func TestEvalTDCLargeCubeMatchesRealEncoder(t *testing.T) {
 		Patterns:   6, CareDensity: 0.25, Clustering: 0.4, Seed: 17,
 	}
 	for _, m := range []int{5, 24, 40} {
-		got, err := EvalTDC(c, m)
+		got, err := evalTDC(c, m, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,8 +327,8 @@ func TestKernelSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEvaluatorMatchesOneShotAPI asserts the reusable evaluator returns
-// exactly what the package-level one-shot functions do, and that
+// TestEvaluatorMatchesOneShotAPI asserts a reused evaluator returns
+// exactly what a fresh one-shot evaluator does at every m, and that
 // consecutive calls at one m share the wrapper design.
 func TestEvaluatorMatchesOneShotAPI(t *testing.T) {
 	c := smallCore(23)
@@ -328,49 +337,44 @@ func TestEvaluatorMatchesOneShotAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range []int{1, 5, 11} {
-		tdc, err := ev.TDC(m, true)
+		fresh, err := NewEvaluator(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := EvalTDC(c, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tdc != want {
-			t.Errorf("m=%d: Evaluator.TDC %+v != EvalTDC %+v", m, tdc, want)
-		}
-		noGC, err := ev.TDC(m, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantNoGC, err := EvalTDCNoGroupCopy(c, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if noGC != wantNoGC {
-			t.Errorf("m=%d: Evaluator.TDC(no group copy) mismatch", m)
+		for _, gc := range []bool{true, false} {
+			got, err := ev.TDC(m, gc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.TDC(m, gc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("m=%d groupCopy=%v: reused TDC %+v != fresh %+v", m, gc, got, want)
+			}
 		}
 		direct, err := ev.NoTDC(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantDirect, err := EvalNoTDC(c, m)
+		wantDirect, err := fresh.NoTDC(m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if direct != wantDirect {
-			t.Errorf("m=%d: Evaluator.NoTDC mismatch", m)
+			t.Errorf("m=%d: reused NoTDC mismatch", m)
 		}
 		bits, err := ev.PatternBits(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantBits, err := PatternBits(c, m)
+		wantBits, err := fresh.PatternBits(m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(bits, wantBits) {
-			t.Errorf("m=%d: Evaluator.PatternBits mismatch", m)
+			t.Errorf("m=%d: reused PatternBits mismatch", m)
 		}
 	}
 	d1, err := ev.Design(7)
@@ -391,8 +395,12 @@ func TestEvaluatorMatchesOneShotAPI(t *testing.T) {
 
 func TestEvalNoTDC(t *testing.T) {
 	c := smallCore(3)
+	ev, err := NewEvaluator(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, m := range []int{1, 4, 10} {
-		got, err := EvalNoTDC(c, m)
+		got, err := ev.NoTDC(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -404,10 +412,10 @@ func TestEvalNoTDC(t *testing.T) {
 			t.Errorf("m=%d: metadata wrong: %+v", m, got)
 		}
 	}
-	if _, err := EvalNoTDC(c, 0); err == nil {
+	if _, err := ev.NoTDC(0); err == nil {
 		t.Error("m=0 accepted")
 	}
-	if _, err := EvalTDC(c, c.MaxWrapperChains()+1); err == nil {
+	if _, err := evalTDC(c, c.MaxWrapperChains()+1, true); err == nil {
 		t.Error("m beyond max accepted")
 	}
 }
@@ -443,11 +451,15 @@ func TestSparseCoreCompressesWell(t *testing.T) {
 		ScanChains: chains, // 2000 cells in short compression-ready chains
 		Patterns:   40, CareDensity: 0.02, Clustering: 0.8, Seed: 5,
 	}
-	tdc, err := EvalTDC(c, 40) // w = 8
+	ev, err := NewEvaluator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := EvalNoTDC(c, 8) // same 8 TAM wires
+	tdc, err := ev.TDC(40, true) // w = 8
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := ev.NoTDC(8) // same 8 TAM wires
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,12 +473,16 @@ func TestSparseCoreCompressesWell(t *testing.T) {
 
 func TestPatternBitsSumMatchesEvalTDC(t *testing.T) {
 	c := smallCore(44)
+	ev, err := NewEvaluator(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, m := range []int{2, 5, 11} {
-		per, err := PatternBits(c, m)
+		per, err := ev.PatternBits(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg, err := EvalTDC(c, m)
+		cfg, err := ev.TDC(m, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -478,10 +494,10 @@ func TestPatternBitsSumMatchesEvalTDC(t *testing.T) {
 			sum += b
 		}
 		if sum != cfg.Volume {
-			t.Errorf("m=%d: per-pattern sum %d != EvalTDC volume %d", m, sum, cfg.Volume)
+			t.Errorf("m=%d: per-pattern sum %d != TDC volume %d", m, sum, cfg.Volume)
 		}
 	}
-	if _, err := PatternBits(c, 0); err == nil {
+	if _, err := ev.PatternBits(0); err == nil {
 		t.Error("m=0 accepted")
 	}
 }

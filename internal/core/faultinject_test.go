@@ -68,7 +68,7 @@ func TestStoreDiskTableFaultInjection(t *testing.T) {
 			cache.SetWarn(func(string) { warned = true })
 			sink := telemetry.New()
 
-			tab, err := cache.get(context.Background(), c, opts, sink)
+			tab, err := cache.GetInstrumentedContext(context.Background(), c, opts, sink)
 			if err != nil {
 				t.Fatalf("Get failed on a best-effort store fault: %v", err)
 			}
@@ -96,7 +96,7 @@ func TestStoreDiskTableFaultInjection(t *testing.T) {
 			var retry Cache
 			retry.SetDir(dir)
 			again := telemetry.New()
-			if _, err := retry.get(context.Background(), c, opts, again); err != nil {
+			if _, err := retry.GetInstrumentedContext(context.Background(), c, opts, again); err != nil {
 				t.Fatal(err)
 			}
 			rn := again.Snapshot().Counters
@@ -118,7 +118,7 @@ func TestStoreDiskTableFaultInjection(t *testing.T) {
 		var cache Cache
 		cache.SetDir(dir)
 		sink := telemetry.New()
-		if _, err := cache.get(context.Background(), c, opts, sink); err != nil {
+		if _, err := cache.GetInstrumentedContext(context.Background(), c, opts, sink); err != nil {
 			t.Fatal(err)
 		}
 		if cn := sink.Snapshot().Counters; cn["diskcache.write_errors"] != 1 {
@@ -128,7 +128,7 @@ func TestStoreDiskTableFaultInjection(t *testing.T) {
 		var reader Cache
 		reader.SetDir(dir)
 		hit := telemetry.New()
-		if _, err := reader.get(context.Background(), c, opts, hit); err != nil {
+		if _, err := reader.GetInstrumentedContext(context.Background(), c, opts, hit); err != nil {
 			t.Fatal(err)
 		}
 		if hn := hit.Snapshot().Counters; hn["diskcache.hits"] != 1 {
@@ -148,7 +148,7 @@ func TestDiskCacheShortEntryIsCorrupt(t *testing.T) {
 
 	var warm Cache
 	warm.SetDir(dir)
-	good, err := warm.Get(c, opts)
+	good, err := warm.GetContext(context.Background(), c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestDiskCacheShortEntryIsCorrupt(t *testing.T) {
 		var cold Cache
 		cold.SetDir(dir)
 		sink := telemetry.New()
-		tab, err := cold.get(context.Background(), c, opts, sink)
+		tab, err := cold.GetInstrumentedContext(context.Background(), c, opts, sink)
 		if err != nil {
 			t.Fatalf("keep=%d: %v", keep, err)
 		}

@@ -20,7 +20,7 @@ import (
 func TestFusedMidPassPruning(t *testing.T) {
 	c := compressibleCore(29)
 	opts := TableOptions{MaxWidth: 10, BandSamples: -1, EvalWindow: 4}
-	plain, err := BuildTable(c, TableOptions{MaxWidth: opts.MaxWidth, BandSamples: opts.BandSamples})
+	plain, err := BuildTableContext(context.Background(), c, TableOptions{MaxWidth: opts.MaxWidth, BandSamples: opts.BandSamples})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestBuildTableBandBoundaries(t *testing.T) {
 	for _, c := range []*soc.Core{smallCore(21), compressibleCore(23)} {
 		maxM := c.MaxWrapperChains()
 		const maxWidth = 16
-		tbl, err := BuildTable(c, TableOptions{MaxWidth: maxWidth, BandSamples: 1})
+		tbl, err := BuildTableContext(context.Background(), c, TableOptions{MaxWidth: maxWidth, BandSamples: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -108,7 +109,7 @@ func checkGoldenTables(t *testing.T, batch int) {
 		whole := cse.opts
 		whole.EvalWindow = goldenWholeSet
 		fusedBatchPoints = old
-		ref, err := BuildTable(cse.core, whole)
+		ref, err := BuildTableContext(context.Background(), cse.core, whole)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +119,7 @@ func checkGoldenTables(t *testing.T, batch int) {
 				opts := cse.opts
 				opts.EvalWindow = window
 				opts.Workers = workers
-				tbl, err := BuildTable(cse.core, opts)
+				tbl, err := BuildTableContext(context.Background(), cse.core, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

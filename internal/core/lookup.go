@@ -218,21 +218,15 @@ type Table struct {
 	Best []Config
 }
 
-// BuildTable constructs the lookup table for one core by exhaustive
-// wrapper design on the no-TDC side and banded (w, m) exploration on the
-// TDC side, exactly as Section 2 of the paper prescribes. The (w, m)
-// evaluations — the dominant CPU cost of every experiment — fan out
-// over Opts.Workers goroutines; the result is bit-identical to a
-// sequential build.
-func BuildTable(c *soc.Core, opts TableOptions) (*Table, error) {
-	return buildTable(context.Background(), c, opts, nil)
-}
-
-// BuildTableContext is BuildTable governed by ctx: cancellation is
-// observed between evaluation points and inside the kernels themselves,
-// so a cancelled build returns ctx.Err() promptly. A nil ctx behaves
-// like context.Background(), and an uncancelled build is bit-identical
-// to BuildTable.
+// BuildTableContext constructs the lookup table for one core by
+// exhaustive wrapper design on the no-TDC side and banded (w, m)
+// exploration on the TDC side, exactly as Section 2 of the paper
+// prescribes. The (w, m) evaluations — the dominant CPU cost of every
+// experiment — fan out over Opts.Workers goroutines; the result is
+// bit-identical to a sequential build. Cancellation of ctx is observed
+// between evaluation points and inside the kernels themselves, so a
+// cancelled build returns ctx.Err() promptly. A nil ctx behaves like
+// context.Background().
 func BuildTableContext(ctx context.Context, c *soc.Core, opts TableOptions) (*Table, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -240,9 +234,9 @@ func BuildTableContext(ctx context.Context, c *soc.Core, opts TableOptions) (*Ta
 	return buildTable(ctx, c, opts, nil)
 }
 
-// buildTable is BuildTable with an optional telemetry sink: kernel
-// counters attach to every worker's evaluator, worker busy time is
-// accounted, and the build itself is counted.
+// buildTable is BuildTableContext with an optional telemetry sink:
+// kernel counters attach to every worker's evaluator, worker busy time
+// is accounted, and the build itself is counted.
 func buildTable(ctx context.Context, c *soc.Core, opts TableOptions, tel *telemetry.Sink) (*Table, error) {
 	opts = opts.withDefaults()
 	if opts.MaxWidth < 1 {
@@ -534,26 +528,14 @@ func sampleBand(lo, hi, samples int) []int {
 	return out
 }
 
-// SweepTDC evaluates every m in [lo, hi] (inclusive, clamped to the
-// core's feasible range) with the decompressor enabled, returning one
-// Config per m in order, using one worker per available CPU. This
-// drives the Figure 2 analysis.
-func SweepTDC(c *soc.Core, lo, hi int) ([]Config, error) {
-	return SweepTDCWorkers(c, lo, hi, 0)
-}
-
-// SweepTDCWorkers is SweepTDC with an explicit worker bound (zero means
-// runtime.GOMAXPROCS(0), 1 is fully sequential). The result is
-// identical for every bound.
-func SweepTDCWorkers(c *soc.Core, lo, hi, workers int) ([]Config, error) {
-	return SweepTDCContext(context.Background(), c, lo, hi, workers)
-}
-
-// SweepTDCContext is SweepTDCWorkers governed by ctx: cancellation is
-// observed between m points and inside the kernels, so a cancelled
-// sweep returns ctx.Err() promptly. A nil ctx behaves like
-// context.Background(); an uncancelled sweep is identical to
-// SweepTDCWorkers.
+// SweepTDCContext evaluates every m in [lo, hi] (inclusive, clamped to
+// the core's feasible range) with the decompressor enabled, returning
+// one Config per m in order — the Figure 2 analysis. The points fan out
+// over workers goroutines (zero means runtime.GOMAXPROCS(0), 1 is fully
+// sequential); the result is identical for every bound. Cancellation of
+// ctx is observed between m points and inside the kernels, so a
+// cancelled sweep returns ctx.Err() promptly. A nil ctx behaves like
+// context.Background().
 func SweepTDCContext(ctx context.Context, c *soc.Core, lo, hi, workers int) ([]Config, error) {
 	if ctx == nil {
 		ctx = context.Background()

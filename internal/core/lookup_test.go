@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -25,7 +26,7 @@ func compressibleCore(seed int64) *soc.Core {
 
 func TestBuildTableShape(t *testing.T) {
 	c := compressibleCore(1)
-	tab, err := BuildTable(c, TableOptions{MaxWidth: 24})
+	tab, err := BuildTableContext(context.Background(), c, TableOptions{MaxWidth: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestBuildTableShape(t *testing.T) {
 
 func TestBuildTableInvariants(t *testing.T) {
 	c := compressibleCore(2)
-	tab, err := BuildTable(c, TableOptions{MaxWidth: 20})
+	tab, err := BuildTableContext(context.Background(), c, TableOptions{MaxWidth: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestBuildTableDenseCorePrefersDirectOrTDC(t *testing.T) {
 		Name: "dense", Inputs: 20, Outputs: 10, ScanChains: []int{50, 50, 50, 50},
 		Patterns: 15, CareDensity: 0.6, Clustering: 0.3, Seed: 3,
 	}
-	tab, err := BuildTable(c, TableOptions{MaxWidth: 16})
+	tab, err := BuildTableContext(context.Background(), c, TableOptions{MaxWidth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestSampleBand(t *testing.T) {
 
 func TestSweepTDC(t *testing.T) {
 	c := compressibleCore(4)
-	cfgs, err := SweepTDC(c, 16, 31) // the w = 7 band: k = ceil(log2(m+1)) = 5
+	cfgs, err := SweepTDCContext(context.Background(), c, 16, 31, 0) // the w = 7 band: k = ceil(log2(m+1)) = 5
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,14 +154,14 @@ func TestSweepTDC(t *testing.T) {
 		}
 	}
 	// Clamping to the core's maximum.
-	cfgs, err = SweepTDC(c, c.MaxWrapperChains()-1, c.MaxWrapperChains()+100)
+	cfgs, err = SweepTDCContext(context.Background(), c, c.MaxWrapperChains()-1, c.MaxWrapperChains()+100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cfgs) != 2 {
 		t.Errorf("clamped sweep has %d configs, want 2", len(cfgs))
 	}
-	if _, err := SweepTDC(c, 500, 100); err == nil {
+	if _, err := SweepTDCContext(context.Background(), c, 500, 100, 0); err == nil {
 		t.Error("empty range accepted")
 	}
 }
@@ -169,18 +170,18 @@ func TestCacheMemoizes(t *testing.T) {
 	c := compressibleCore(5)
 	var cache Cache
 	opts := TableOptions{MaxWidth: 12}
-	t1, err := cache.Get(c, opts)
+	t1, err := cache.GetContext(context.Background(), c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := cache.Get(c, opts)
+	t2, err := cache.GetContext(context.Background(), c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if t1 != t2 {
 		t.Error("cache rebuilt table for identical key")
 	}
-	t3, err := cache.Get(c, TableOptions{MaxWidth: 16})
+	t3, err := cache.GetContext(context.Background(), c, TableOptions{MaxWidth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestCacheMemoizes(t *testing.T) {
 }
 
 // TestCacheGetSingleflight hammers one cache key from 16 goroutines and
-// asserts exactly one BuildTable runs: concurrent callers must block on
+// asserts exactly one table build runs: concurrent callers must block on
 // the in-flight build, not duplicate it.
 func TestCacheGetSingleflight(t *testing.T) {
 	c := compressibleCore(7)
@@ -208,7 +209,7 @@ func TestCacheGetSingleflight(t *testing.T) {
 		go func(i int) {
 			defer done.Done()
 			start.Wait() // maximize contention
-			tables[i], errs[i] = cache.Get(c, TableOptions{MaxWidth: 12})
+			tables[i], errs[i] = cache.GetContext(context.Background(), c, TableOptions{MaxWidth: 12})
 		}(i)
 	}
 	start.Done()
@@ -226,7 +227,7 @@ func TestCacheGetSingleflight(t *testing.T) {
 		}
 	}
 	// Workers must not fragment the cache: same key modulo Workers.
-	if tab, err := cache.Get(c, TableOptions{MaxWidth: 12, Workers: 4}); err != nil || tab != tables[0] {
+	if tab, err := cache.GetContext(context.Background(), c, TableOptions{MaxWidth: 12, Workers: 4}); err != nil || tab != tables[0] {
 		t.Errorf("Workers option fragmented the cache key (err %v)", err)
 	}
 	if n := builds.Load(); n != 1 {
@@ -245,11 +246,11 @@ func TestCacheContentAddressed(t *testing.T) {
 
 	c1 := compressibleCore(5)
 	c2 := compressibleCore(5) // same content, distinct pointer
-	t1, err := cache.Get(c1, opts)
+	t1, err := cache.GetContext(context.Background(), c1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := cache.Get(c2, opts)
+	t2, err := cache.GetContext(context.Background(), c2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +263,11 @@ func TestCacheContentAddressed(t *testing.T) {
 
 	c3 := compressibleCore(5)
 	c3.Name = "renamed"
-	if _, err := cache.Get(c3, opts); err != nil {
+	if _, err := cache.GetContext(context.Background(), c3, opts); err != nil {
 		t.Fatal(err)
 	}
 	c4 := compressibleCore(6) // different generator seed
-	if _, err := cache.Get(c4, opts); err != nil {
+	if _, err := cache.GetContext(context.Background(), c4, opts); err != nil {
 		t.Fatal(err)
 	}
 	if n := builds.Load(); n != 3 {
@@ -278,11 +279,11 @@ func TestCacheContentAddressed(t *testing.T) {
 // byte-identical to the sequential one on d695 cores.
 func TestBuildTableWorkersDeterminism(t *testing.T) {
 	for _, c := range soc.D695().Cores[:5] {
-		seq, err := BuildTable(c, TableOptions{MaxWidth: 24, Workers: 1})
+		seq, err := BuildTableContext(context.Background(), c, TableOptions{MaxWidth: 24, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := BuildTable(c, TableOptions{MaxWidth: 24, Workers: 8})
+		par, err := BuildTableContext(context.Background(), c, TableOptions{MaxWidth: 24, Workers: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,18 +297,18 @@ func TestBuildTableWorkersDeterminism(t *testing.T) {
 // sequential one configuration-for-configuration.
 func TestSweepTDCWorkersEquivalence(t *testing.T) {
 	c := compressibleCore(9)
-	seq, err := SweepTDCWorkers(c, 4, 31, 1)
+	seq, err := SweepTDCContext(context.Background(), c, 4, 31, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SweepTDCWorkers(c, 4, 31, 8)
+	par, err := SweepTDCContext(context.Background(), c, 4, 31, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Error("parallel sweep differs from sequential")
 	}
-	def, err := SweepTDC(c, 4, 31)
+	def, err := SweepTDCContext(context.Background(), c, 4, 31, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,11 +319,11 @@ func TestSweepTDCWorkersEquivalence(t *testing.T) {
 
 func TestBuildTableErrors(t *testing.T) {
 	c := compressibleCore(6)
-	if _, err := BuildTable(c, TableOptions{MaxWidth: -1}); err == nil {
+	if _, err := BuildTableContext(context.Background(), c, TableOptions{MaxWidth: -1}); err == nil {
 		t.Error("negative MaxWidth accepted")
 	}
 	bad := &soc.Core{Name: "bad", Inputs: 4, Patterns: 3, CareDensity: -1}
-	if _, err := BuildTable(bad, TableOptions{MaxWidth: 8}); err == nil {
+	if _, err := BuildTableContext(context.Background(), bad, TableOptions{MaxWidth: 8}); err == nil {
 		t.Error("invalid core accepted")
 	}
 }
@@ -386,7 +387,7 @@ func TestBuildTablePruningGoldenEquivalence(t *testing.T) {
 		for _, workers := range []int{1, 8} {
 			opts := cse.opts
 			opts.Workers = workers
-			pruned, err := BuildTable(cse.core, opts)
+			pruned, err := BuildTableContext(context.Background(), cse.core, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

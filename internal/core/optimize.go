@@ -297,8 +297,8 @@ func OptimizeContext(ctx context.Context, s *soc.SOC, wtam int, opts Options) (r
 
 // buildSelectors prepares each core's configuration selector, building
 // the per-core lookup tables concurrently (bounded by opts.Workers).
-// Cache hits go through the singleflight Cache.Get, so concurrent
-// optimizer runs sharing a cache never duplicate a build. The first
+// Cache hits go through the singleflight Cache.GetInstrumentedContext,
+// so concurrent optimizer runs sharing a cache never duplicate a build. The first
 // error in core order is returned. Per-core telemetry spans are created
 // under parent on the calling goroutine, in core order, before the
 // fan-out — worker scheduling therefore never changes the span tree.
@@ -328,7 +328,7 @@ func buildSelectors(ctx context.Context, s *soc.SOC, tabOpts TableOptions, opts 
 		c := s.Cores[i]
 		var t *Table
 		if opts.Cache != nil {
-			t, err = opts.Cache.get(ctx, c, tabOpts, sink)
+			t, err = opts.Cache.GetInstrumentedContext(ctx, c, tabOpts, sink)
 		} else {
 			t, err = buildTable(ctx, c, tabOpts, sink)
 		}

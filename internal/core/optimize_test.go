@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -217,7 +218,7 @@ func TestParseStyle(t *testing.T) {
 
 func TestChooseConfigClamping(t *testing.T) {
 	c := compressibleCore(9)
-	tab, err := BuildTable(c, TableOptions{MaxWidth: 10})
+	tab, err := BuildTableContext(context.Background(), c, TableOptions{MaxWidth: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func TestCacheGetPanicNoDeadlock(t *testing.T) {
 		go func(i int) {
 			defer done.Done()
 			start.Wait() // maximize contention on one entry
-			_, errs[i] = cache.Get(c, TableOptions{MaxWidth: 10})
+			_, errs[i] = cache.GetContext(context.Background(), c, TableOptions{MaxWidth: 10})
 		}(i)
 	}
 	start.Done()
@@ -72,7 +72,7 @@ func TestCacheGetPanicNoDeadlock(t *testing.T) {
 	// The poisoned entry must have been evicted: with the panic gone, the
 	// same key builds successfully.
 	cache.buildHook = nil
-	tab, err := cache.Get(c, TableOptions{MaxWidth: 10})
+	tab, err := cache.GetContext(context.Background(), c, TableOptions{MaxWidth: 10})
 	if err != nil {
 		t.Fatalf("Get after evicted panic entry: %v", err)
 	}
@@ -97,7 +97,7 @@ func TestCacheWaiterCancelPromptly(t *testing.T) {
 	opts := TableOptions{MaxWidth: 8}
 	ownerErr := make(chan error, 1)
 	go func() {
-		_, err := cache.Get(c, opts)
+		_, err := cache.GetContext(context.Background(), c, opts)
 		ownerErr <- err
 	}()
 	<-started // the owner is inside the build and holds the entry
@@ -126,7 +126,7 @@ func TestCacheWaiterCancelPromptly(t *testing.T) {
 }
 
 // TestCacheDeterministicErrorCached: a deterministic build failure is a
-// property of the key (BuildTable is pure), so it stays cached — unlike
+// property of the key (a table build is pure), so it stays cached — unlike
 // panics and cancellations, which evict.
 func TestCacheDeterministicErrorCached(t *testing.T) {
 	bad := compressibleCore(23)
@@ -135,11 +135,11 @@ func TestCacheDeterministicErrorCached(t *testing.T) {
 	var builds atomic.Int64
 	cache.buildHook = func(*soc.Core, TableOptions) { builds.Add(1) }
 
-	_, err1 := cache.Get(bad, TableOptions{MaxWidth: 8})
+	_, err1 := cache.GetContext(context.Background(), bad, TableOptions{MaxWidth: 8})
 	if err1 == nil {
 		t.Fatal("invalid core built successfully")
 	}
-	_, err2 := cache.Get(bad, TableOptions{MaxWidth: 8})
+	_, err2 := cache.GetContext(context.Background(), bad, TableOptions{MaxWidth: 8})
 	if err2 == nil {
 		t.Fatal("second Get of invalid core succeeded")
 	}
@@ -193,7 +193,7 @@ func TestBuildTableContextCancelled(t *testing.T) {
 	}
 }
 
-// TestSweepTDCContextCancelled mirrors the BuildTable check for the
+// TestSweepTDCContextCancelled mirrors the BuildTableContext check for the
 // per-band sweep entry point.
 func TestSweepTDCContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())

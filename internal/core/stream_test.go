@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -93,7 +94,7 @@ func TestStreamingEvaluatorEquivalence(t *testing.T) {
 }
 
 // TestEvalWindowValidation covers the window-resolution edges: every
-// negative window is rejected (by the evaluator and by BuildTable),
+// negative window is rejected (by the evaluator and by BuildTableContext),
 // automatic residency keeps a small core in one whole-set window, and
 // windows at or above the set clamp to it.
 func TestEvalWindowValidation(t *testing.T) {
@@ -102,8 +103,8 @@ func TestEvalWindowValidation(t *testing.T) {
 		if _, err := NewEvaluatorWindow(c, window); err == nil {
 			t.Errorf("EvalWindow %d accepted", window)
 		}
-		if _, err := BuildTable(c, TableOptions{MaxWidth: 4, EvalWindow: window}); err == nil {
-			t.Errorf("BuildTable accepted EvalWindow %d", window)
+		if _, err := BuildTableContext(context.Background(), c, TableOptions{MaxWidth: 4, EvalWindow: window}); err == nil {
+			t.Errorf("BuildTableContext accepted EvalWindow %d", window)
 		}
 	}
 	for _, window := range []int{0, c.Patterns, 10_000} {

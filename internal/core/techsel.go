@@ -8,6 +8,7 @@ package core
 // minimizing test time at each TAM width.
 
 import (
+	"context"
 	"fmt"
 
 	"soctap/internal/dictenc"
@@ -125,12 +126,11 @@ type TechSelection struct {
 var DefaultDictSizes = []int{16, 64, 256}
 
 // SelectTechniques builds the technique-selection table for one core:
-// the selective-encoding/direct table of BuildTable, joined with a sweep
+// the selective-encoding/direct lookup table, joined with a sweep
 // of dictionary configurations over the given dictionary sizes and a
 // small set of wrapper widths.
 func SelectTechniques(c *soc.Core, opts TableOptions, dictSizes []int) (*TechSelection, error) {
-	opts = opts.withDefaults()
-	tab, err := BuildTable(c, opts)
+	tab, err := buildTable(context.Background(), c, opts, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"soctap/internal/soc"
@@ -52,7 +53,7 @@ func TestSelectTechniquesJoinsTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := BuildTable(c, TableOptions{MaxWidth: 16})
+	tab, err := BuildTableContext(context.Background(), c, TableOptions{MaxWidth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,7 +216,7 @@ func TestCacheWarnOnWriteError(t *testing.T) {
 	var cache Cache
 	cache.SetDir("/dev/null/not-a-directory") // MkdirAll must fail
 	cache.SetWarn(func(msg string) { warnings = append(warnings, msg) })
-	if _, err := cache.get(context.Background(), c, TableOptions{MaxWidth: 8}, sink); err != nil {
+	if _, err := cache.GetInstrumentedContext(context.Background(), c, TableOptions{MaxWidth: 8}, sink); err != nil {
 		t.Fatal(err)
 	}
 	if got := sink.Snapshot().Counters["diskcache.write_errors"]; got != 1 {

@@ -36,11 +36,15 @@ func (e *Env) Ablations() (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	with, err := core.EvalTDC(ckt9, 255)
+	ev, err := core.NewEvaluator(ckt9)
 	if err != nil {
 		return nil, err
 	}
-	without, err := core.EvalTDCNoGroupCopy(ckt9, 255)
+	with, err := ev.TDC(255, true)
+	if err != nil {
+		return nil, err
+	}
+	without, err := ev.TDC(255, false)
 	if err != nil {
 		return nil, err
 	}

@@ -26,8 +26,8 @@ import (
 // The zero Env is ready to use. Experiments on one Env run one at a
 // time.
 type Env struct {
-	// Ctx governs every run: cancelling it aborts in-flight
-	// Optimize/BuildTable/Sweep calls with ctx.Err(). Nil means
+	// Ctx governs every run: cancelling it aborts in-flight optimize,
+	// table-build and sweep calls with ctx.Err(). Nil means
 	// context.Background() (the core entry points accept a nil ctx).
 	Ctx context.Context
 	// Cache memoizes lookup tables across experiments; nil is replaced

@@ -8,11 +8,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"strconv"
 	"time"
 
 	"soctap"
+	"soctap/internal/cli"
 	"soctap/internal/core"
 	"soctap/internal/telemetry"
 )
@@ -120,7 +122,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	case s.sem <- struct{}{}:
 		defer func() { <-s.sem }()
 	case <-ctx.Done():
-		s.failCtx(w, nil, jobID, ctx.Err(), 0)
+		s.failCtx(w, jobID, ctx.Err())
 		return
 	}
 
@@ -135,7 +137,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	elapsed := time.Since(t0)
 	s.finishJob(jobSink, elapsed, err)
 	if err != nil {
-		s.failCtx(w, nil, jobID, err, elapsed)
+		s.failCtx(w, jobID, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -250,7 +252,7 @@ func (s *Server) countFailure(err error) {
 
 // failCtx maps a job error onto an HTTP error response (buffered shape
 // only; streams report errors in their terminal line).
-func (s *Server) failCtx(w http.ResponseWriter, _ *jobRequest, jobID string, err error, _ time.Duration) {
+func (s *Server) failCtx(w http.ResponseWriter, jobID string, err error) {
 	s.countFailure(err)
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -319,8 +321,8 @@ func (s *Server) parseJob(r *http.Request) (*jobRequest, error) {
 	if req.opts.Tables.EvalWindow, err = intParam(q.Get("eval-window"), 0); err != nil {
 		return nil, fmt.Errorf("eval-window: %w", err)
 	}
-	if req.opts.Tables.EvalWindow < 0 {
-		return nil, errors.New("eval-window must be >= 0 (0 = automatic)")
+	if err := cli.CheckEvalWindow(req.opts.Tables.EvalWindow); err != nil {
+		return nil, err
 	}
 	req.opts.EnableDict = q.Get("techsel") == "1" || q.Get("techsel") == "true"
 	req.stream = q.Get("stream") == "1" || q.Get("stream") == "true"
@@ -367,27 +369,17 @@ func intParam(s string, def int) (int, error) {
 
 // clientKey identifies the client for rate limiting: the API key
 // header when present (one tenant, many addresses), else the remote
-// host (one address, no key).
+// host (one address, no key), or the raw remote address when it has no
+// port.
 func clientKey(r *http.Request) string {
 	if k := r.Header.Get("X-API-Key"); k != "" {
 		return "key:" + k
 	}
-	host := r.RemoteAddr
-	if i := lastColon(host); i >= 0 {
-		host = host[:i]
+	host, _, err := net.SplitHostPort(r.RemoteAddr)
+	if err != nil {
+		host = r.RemoteAddr
 	}
 	return "addr:" + host
-}
-
-// lastColon finds the port separator in a host:port remote address
-// (IPv6-safe: the last colon, with bracketed literals intact before it).
-func lastColon(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == ':' {
-			return i
-		}
-	}
-	return -1
 }
 
 // streamBuffer is the per-stream event ring depth; a slower reader

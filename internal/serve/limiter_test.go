@@ -2,6 +2,8 @@ package serve
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 )
@@ -101,5 +103,29 @@ func TestLimiterBounded(t *testing.T) {
 	l.allow(key)
 	if ok, _ := l.allow(key); ok {
 		t.Error("debtor admitted past burst")
+	}
+}
+
+// TestClientKey: the API key wins over the address; otherwise the
+// remote host keys the client, port stripped (IPv6 brackets too), and
+// an address without a port is used as is.
+func TestClientKey(t *testing.T) {
+	cases := []struct {
+		name, remote, apiKey, want string
+	}{
+		{"api key", "10.0.0.1:5000", "tenant-a", "key:tenant-a"},
+		{"ipv4", "10.0.0.1:5000", "", "addr:10.0.0.1"},
+		{"ipv6", "[2001:db8::1]:443", "", "addr:2001:db8::1"},
+		{"no port", "10.0.0.1", "", "addr:10.0.0.1"},
+	}
+	for _, c := range cases {
+		r := httptest.NewRequest(http.MethodPost, "/v1/optimize", nil)
+		r.RemoteAddr = c.remote
+		if c.apiKey != "" {
+			r.Header.Set("X-API-Key", c.apiKey)
+		}
+		if got := clientKey(r); got != c.want {
+			t.Errorf("%s: clientKey(%q) = %q, want %q", c.name, c.remote, got, c.want)
+		}
 	}
 }

@@ -7,7 +7,7 @@
 //
 // Multi-tenant shape:
 //
-//   - every worker shares one table cache (the 32-shard singleflight
+//   - every worker shares one table cache (the single-lock singleflight
 //     LRU over the bounded v2 disk store), so structurally identical
 //     cores across clients are built exactly once, ever;
 //   - a token-bucket rate limiter keyed by API key (or remote address)

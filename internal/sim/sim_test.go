@@ -48,8 +48,12 @@ func TestSimMatchesAnalyticVolume(t *testing.T) {
 	// The analytic cost model and the bit-level simulation must agree
 	// exactly on the compressed volume.
 	c := simCore(2)
+	ev, err := core.NewEvaluator(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, m := range []int{2, 5, 11, 25} {
-		cfg, err := core.EvalTDC(c, m)
+		cfg, err := ev.TDC(m, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +69,11 @@ func TestSimMatchesAnalyticVolume(t *testing.T) {
 
 func TestVerifyConfig(t *testing.T) {
 	c := simCore(3)
-	cfg, err := core.EvalTDC(c, 10)
+	ev, err := core.NewEvaluator(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := ev.TDC(10, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +87,7 @@ func TestVerifyConfig(t *testing.T) {
 		t.Error("tampered volume passed verification")
 	}
 	// Direct-access configs pass trivially.
-	direct, _ := core.EvalNoTDC(c, 4)
+	direct, _ := ev.NoTDC(4)
 	if err := VerifyConfig(c, direct); err != nil {
 		t.Errorf("direct config failed: %v", err)
 	}

@@ -200,34 +200,18 @@ func OptimizeContext(ctx context.Context, s *SOC, wtam int, opts Options) (*Resu
 	return core.OptimizeContext(ctx, s, wtam, opts)
 }
 
-// BuildTable constructs the per-core lookup table of Section 2 of the
-// paper: best configurations at every TAM width, with and without the
-// decompressor.
-func BuildTable(c *Core, opts TableOptions) (*Table, error) {
-	return core.BuildTable(c, opts)
-}
-
-// BuildTableContext is BuildTable governed by ctx (see OptimizeContext
-// for the cancellation contract).
+// BuildTableContext constructs the per-core lookup table of Section 2
+// of the paper: best configurations at every TAM width, with and
+// without the decompressor (see OptimizeContext for the cancellation
+// contract).
 func BuildTableContext(ctx context.Context, c *Core, opts TableOptions) (*Table, error) {
 	return core.BuildTableContext(ctx, c, opts)
 }
 
-// SweepTDC evaluates every wrapper-chain count m in [lo, hi] with the
-// decompressor enabled — the analysis behind Figures 2 and 3. The sweep
-// fans out over one worker per CPU; results are identical to a
-// sequential sweep.
-func SweepTDC(c *Core, lo, hi int) ([]Config, error) {
-	return core.SweepTDC(c, lo, hi)
-}
-
-// SweepTDCWorkers is SweepTDC with an explicit worker bound (zero means
-// one worker per CPU, 1 is fully sequential).
-func SweepTDCWorkers(c *Core, lo, hi, workers int) ([]Config, error) {
-	return core.SweepTDCWorkers(c, lo, hi, workers)
-}
-
-// SweepTDCContext is SweepTDCWorkers governed by ctx (see
+// SweepTDCContext evaluates every wrapper-chain count m in [lo, hi]
+// with the decompressor enabled — the analysis behind Figures 2 and 3.
+// The sweep fans out over workers goroutines (zero means one per CPU, 1
+// is fully sequential); results are identical for every bound (see
 // OptimizeContext for the cancellation contract).
 func SweepTDCContext(ctx context.Context, c *Core, lo, hi, workers int) ([]Config, error) {
 	return core.SweepTDCContext(ctx, c, lo, hi, workers)
@@ -235,11 +219,13 @@ func SweepTDCContext(ctx context.Context, c *Core, lo, hi, workers int) ([]Confi
 
 // EvalTDC evaluates one compressed configuration (m wrapper chains,
 // ceil(log2(m+1))+2 TAM wires).
-func EvalTDC(c *Core, m int) (Config, error) { return core.EvalTDC(c, m) }
-
-// EvalNoTDC evaluates one direct configuration (m TAM wires driving m
-// wrapper chains).
-func EvalNoTDC(c *Core, m int) (Config, error) { return core.EvalNoTDC(c, m) }
+func EvalTDC(c *Core, m int) (Config, error) {
+	ev, err := core.NewEvaluator(c)
+	if err != nil {
+		return Config{}, err
+	}
+	return ev.TDC(m, true)
+}
 
 // EvalDict evaluates one dictionary-compressed configuration (m wrapper
 // chains, dictWords dictionary entries).
@@ -315,7 +301,13 @@ func TruncateForATE(s *SOC, budgetBits int64, cost PatternCost) (*Truncation, er
 // PatternBits returns the exact compressed size in bits of every test
 // pattern of the core under selective encoding with m wrapper chains —
 // a PatternCost building block for compressed truncation planning.
-func PatternBits(c *Core, m int) ([]int64, error) { return core.PatternBits(c, m) }
+func PatternBits(c *Core, m int) ([]int64, error) {
+	ev, err := core.NewEvaluator(c)
+	if err != nil {
+		return nil, err
+	}
+	return ev.PatternBits(m)
+}
 
 // CubeSet is a core's test set: partially specified test patterns.
 type CubeSet = cube.Set

@@ -2,6 +2,7 @@ package soctap_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -68,31 +69,27 @@ func TestPublicPerCoreAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs, err := soctap.SweepTDC(c, 32, 40)
+	cfgs, err := soctap.SweepTDCContext(context.Background(), c, 32, 40, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cfgs) != 9 {
 		t.Fatalf("%d configs", len(cfgs))
 	}
-	tdc, err := soctap.EvalTDC(c, 63)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := soctap.EvalNoTDC(c, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same 8 TAM wires; the sparse industrial core must compress well.
-	if tdc.Time >= direct.Time {
-		t.Errorf("TDC %d not faster than direct %d on ckt-6", tdc.Time, direct.Time)
-	}
-	tab, err := soctap.BuildTable(c, soctap.TableOptions{MaxWidth: 12})
+	tab, err := soctap.BuildTableContext(context.Background(), c, soctap.TableOptions{MaxWidth: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !tab.Best[12].Feasible {
 		t.Error("table Best[12] infeasible")
+	}
+	tdc, err := soctap.EvalTDC(c, 63)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Same 8 TAM wires; the sparse industrial core must compress well.
+	if direct := tab.NoTDC[8]; tdc.Time >= direct.Time {
+		t.Errorf("TDC %d not faster than direct %d on ckt-6", tdc.Time, direct.Time)
 	}
 }
 
