@@ -127,12 +127,15 @@ fused-equivalence:
 
 # robustness asserts the failure-model contracts under the race
 # detector with a tight timeout: the singleflight deadlock regression
-# (a poisoned cache entry would hang here, not pass), panic containment
-# at the core package boundary, prompt cancellation with no goroutine
-# leaks, bit-identical results through the context-threaded entry
-# points, disk-store fault injection, and malformed-design rejection.
+# (a poisoned cache entry would hang here, not pass), the contract of
+# the package's one worker pool (parallelFor: lowest-index error, panic
+# containment on the inline and pooled paths, cancellation, no leaked
+# goroutines) and containment in the fused pass at any worker count,
+# prompt cancellation with no goroutine leaks,
+# bit-identical results through the context-threaded entry points,
+# disk-store fault injection, and malformed-design rejection.
 robustness:
-	$(GO) test -race -count=1 -timeout 300s -run 'TestCacheGetPanicNoDeadlock|TestCacheWaiterCancelPromptly|TestCacheDeterministicErrorCached|TestForEachEvalPanicContained|TestBuildTableContextCancelled|TestSweepTDCContextCancelled|TestOptimizeCancelMidRun|TestOptimizeContextMatchesOptimize|TestStoreDiskTableFaultInjection|TestDiskCacheShortEntryIsCorrupt' ./internal/core
+	$(GO) test -race -count=1 -timeout 300s -run 'TestCacheGetPanicNoDeadlock|TestCacheWaiterCancelPromptly|TestCacheDeterministicErrorCached|TestParallelFor|TestFusedPassPanicContained|TestBuildTableContextCancelled|TestSweepTDCContextCancelled|TestOptimizeCancelMidRun|TestOptimizeContextMatchesOptimize|TestStoreDiskTableFaultInjection|TestDiskCacheShortEntryIsCorrupt' ./internal/core
 	$(GO) test -race -count=1 -timeout 60s -run 'TestParseRejectsMalformedDesigns|TestValidateStructuralBounds|TestMalformedDesignNeverReachesKernels' ./internal/soc
 
 # cachefmt asserts the cache-format and cache-tier contracts: the v2
@@ -173,7 +176,9 @@ obs:
 # serve asserts the optimization-service contracts under the race
 # detector: the end-to-end socserve suite (job queue admission bounds,
 # per-request deadline cancellation mid-build, per-tenant rate
-# limiting, singleflight table sharing across concurrent identical
+# limiting, the request bounds (a width above core.MaxTAMWidth is a 400
+# before admission; ?workers is capped at one per CPU when -job-workers
+# is 0), singleflight table sharing across concurrent identical
 # designs, NDJSON progress streaming, graceful drain with no goroutine
 # leaks) plus the HTTP/cache hardening regressions this plane stands on
 # (non-Flusher event streaming, slowloris header reaping, write-timeout

@@ -21,9 +21,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"soctap/internal/selenc"
 	"soctap/internal/soc"
@@ -190,26 +187,28 @@ func sweepBandsFused(ctx context.Context, c *soc.Core, opts TableOptions, bands 
 func runFusedPass(ctx context.Context, producer *Evaluator, opts TableOptions, bands []bandJob, ubs []bandUB, pts []*fusedPoint, pc pruneCounters, fc fusedCounters, tel *telemetry.Sink) error {
 	fc.passes.Inc()
 	fc.corePasses.Inc()
-	workers := resolveWorkers(opts.Workers, len(pts))
-	var crew *fusedCrew
-	if workers > 1 {
-		crew = newFusedCrew(ctx, producer, workers, tel)
-		defer crew.close()
+	// One mirror of the producer per worker slot, kept for the whole
+	// pass: each window is one parallelFor round over the active points,
+	// and each point is priced by exactly one worker per window, so the
+	// accumulators stay worker-order independent.
+	mirrors := make([]*Evaluator, resolveWorkers(opts.Workers, len(pts)))
+	for w := range mirrors {
+		mirrors[w] = producer.mirror()
 	}
-
 	active := append([]*fusedPoint(nil), pts...)
+	label := func(i int) (string, string) {
+		return producer.core.Name, fmt.Sprintf("fused tdc w=%d m=%d", active[i].w, active[i].m)
+	}
+	price := func(w, i int) error {
+		mirrors[w].priceWindowPoint(active[i])
+		return nil
+	}
+	busy := tel.Timer("eval.worker_busy")
 	var loads int64
 	producer.beginPass()
 	for len(active) > 0 && producer.nextWindow() {
 		loads++
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if crew == nil {
-			for _, p := range active {
-				producer.priceWindowPoint(p)
-			}
-		} else if err := crew.window(active); err != nil {
+		if err := parallelFor(ctx, len(mirrors), len(active), tel, busy, label, price); err != nil {
 			return err
 		}
 		// The prune step is sequential and runs on exact, worker-order
@@ -324,96 +323,3 @@ func pruneFusedWindow(pos, patterns int, bands []bandJob, ubs []bandUB, active [
 	}
 	return out
 }
-
-// fusedCrew is the worker pool of one fused pass: mirrors of the
-// producer share its loaded window and claim points through an atomic
-// cursor, one synchronized round per window. Point accumulation stays
-// worker-order independent because each point is priced by exactly one
-// worker per window and windows are totally ordered by the barrier.
-type fusedCrew struct {
-	ctx   context.Context
-	core  string
-	ready chan []*fusedPoint
-	done  sync.WaitGroup
-	next  atomic.Int64
-
-	failed  atomic.Bool
-	errOnce sync.Once
-	err     error
-
-	workers int
-	busy    *telemetry.Timer
-	panics  *telemetry.Counter
-}
-
-func newFusedCrew(ctx context.Context, producer *Evaluator, workers int, tel *telemetry.Sink) *fusedCrew {
-	cr := &fusedCrew{
-		ctx:     ctx,
-		core:    producer.core.Name,
-		ready:   make(chan []*fusedPoint),
-		workers: workers,
-		busy:    tel.Timer("eval.worker_busy"),
-		panics:  tel.Counter("panic.recovered"),
-	}
-	for i := 0; i < workers; i++ {
-		ev := producer.mirror()
-		go func() {
-			for pts := range cr.ready {
-				cr.priceRound(ev, pts)
-			}
-		}()
-	}
-	return cr
-}
-
-// window prices one loaded window across the crew and blocks until
-// every active point has been costed (or the round aborted).
-func (cr *fusedCrew) window(pts []*fusedPoint) error {
-	cr.next.Store(0)
-	cr.done.Add(cr.workers)
-	for i := 0; i < cr.workers; i++ {
-		cr.ready <- pts
-	}
-	cr.done.Wait()
-	if cr.failed.Load() {
-		if cr.err != nil {
-			return cr.err
-		}
-		return cr.ctx.Err()
-	}
-	return cr.ctx.Err()
-}
-
-// priceRound is one worker's share of one window: claim points until
-// the cursor runs out, containing panics as *PanicError values naming
-// the point (never a process crash).
-func (cr *fusedCrew) priceRound(ev *Evaluator, pts []*fusedPoint) {
-	defer cr.done.Done()
-	var cur *fusedPoint
-	defer func() {
-		if r := recover(); r != nil {
-			cr.panics.Inc()
-			point := "fused pass"
-			if cur != nil {
-				point = fmt.Sprintf("fused tdc w=%d m=%d", cur.w, cur.m)
-			}
-			cr.errOnce.Do(func() { cr.err = newPanicError(cr.core, point, r) })
-			cr.failed.Store(true)
-		}
-	}()
-	if cr.busy != nil {
-		t0 := time.Now()
-		defer func() { cr.busy.Add(time.Since(t0)) }()
-	}
-	for !cr.failed.Load() && cr.ctx.Err() == nil {
-		i := int(cr.next.Add(1)) - 1
-		if i >= len(pts) {
-			return
-		}
-		cur = pts[i]
-		ev.priceWindowPoint(cur)
-	}
-}
-
-// close releases the crew's goroutines.
-func (cr *fusedCrew) close() { close(cr.ready) }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -127,6 +129,31 @@ func TestFusedCountersWorkerInvariance(t *testing.T) {
 			if got[k] != want[k] {
 				t.Errorf("workers=%d: counter %s = %d, want %d", workers, k, got[k], want[k])
 			}
+		}
+	}
+}
+
+// TestFusedPassPanicContained: a panic while pricing a window of the
+// fused pass surfaces as a *PanicError naming the point, at one worker
+// (priced on the calling goroutine) as at several — never as a crash.
+// A point without a design leaves the kernel scratch unprepared, so
+// pricing it indexes out of range.
+func TestFusedPassPanicContained(t *testing.T) {
+	c := compressibleCore(3)
+	for _, workers := range []int{1, 4} {
+		producer, err := NewEvaluatorWindow(c, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts := []*fusedPoint{{band: 0, m: 8, w: int64(selenc.CodewordWidth(8))}}
+		err = runFusedPass(context.Background(), producer, TableOptions{Workers: workers},
+			[]bandJob{{w: int(pts[0].w)}}, make([]bandUB, 1), pts, pruneCounters{}, fusedCounters{}, nil)
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: error %v is not a *PanicError", workers, err)
+		}
+		if want := fmt.Sprintf("fused tdc w=%d m=8", pts[0].w); pe.Core != c.Name || pe.Point != want {
+			t.Errorf("workers=%d: PanicError = (%q, %q), want (%q, %q)", workers, pe.Core, pe.Point, c.Name, want)
 		}
 	}
 }

@@ -3,9 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"soctap/internal/selenc"
@@ -16,8 +13,8 @@ import (
 
 // TableOptions controls per-core lookup table construction.
 type TableOptions struct {
-	// MaxWidth is the largest TAM width the table covers. Zero defaults
-	// to 64.
+	// MaxWidth is the largest TAM width the table covers, at most
+	// MaxTAMWidth. Zero defaults to 64.
 	MaxWidth int
 	// BandSamples bounds the number of m values evaluated inside each
 	// codeword-width band. Bands no larger than the bound are swept
@@ -67,134 +64,28 @@ func (o TableOptions) normalized() TableOptions {
 	return o
 }
 
-// resolveWorkers maps a Workers option to an actual pool size: zero (or
-// negative) means one worker per available CPU, and the pool never
-// exceeds the task count.
-func resolveWorkers(workers, tasks int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > tasks {
-		workers = tasks
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// forEachEval runs fn(ev, i) for every i in [0, n) over a pool of
-// workers, giving each worker its own Evaluator for the core (the
-// per-worker scratch state of the hot kernel). Tasks must write results
-// to indexed slots so the outcome is independent of scheduling; with
-// workers <= 1 everything runs on the calling goroutine. The first
-// error (by task index) is returned. A non-nil tel attaches kernel
-// counters to every evaluator and accounts worker-slot busy time.
-//
-// ctx cancels the pool cooperatively: workers stop claiming tasks once
-// ctx is done and the evaluators themselves check the context at every
-// (w, m) kernel entry, so cancellation lands mid-band too. A panic in
-// fn is contained on the worker that raised it and surfaces as a
-// *PanicError naming point(i) — never as a process crash.
+// forEachEval runs fn(ev, i) for every i in [0, n) through
+// parallelFor, giving each worker its own Evaluator for the core (the
+// per-worker scratch state of the hot kernel), built on the worker's
+// first task. A non-nil tel attaches kernel counters to every evaluator
+// and accounts worker busy time. Each evaluator checks ctx at every
+// (w, m) kernel entry, so cancellation lands mid-band too; a panic in
+// fn surfaces as a *PanicError naming point(i).
 func forEachEval(ctx context.Context, c *soc.Core, workers, window, n int, tel *telemetry.Sink, point func(i int) string, fn func(ev *Evaluator, i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	busy := tel.Timer("eval.worker_busy")
-	run := func(ev *Evaluator, i int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				tel.Counter("panic.recovered").Inc()
-				p := fmt.Sprintf("task %d", i)
-				if point != nil {
-					p = point(i)
-				}
-				err = newPanicError(c.Name, p, r)
-			}
-		}()
-		return fn(ev, i)
-	}
-	workers = resolveWorkers(workers, n)
-	if workers == 1 {
-		ev, err := NewEvaluatorWindow(c, window)
-		if err != nil {
-			return err
-		}
-		ev.attachTelemetry(tel)
-		ev.bindContext(ctx)
-		if busy != nil {
-			t0 := time.Now()
-			defer func() { busy.Add(time.Since(t0)) }()
-		}
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := run(ev, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	errs := make([]error, n)
-	var initOnce sync.Once
-	var initErr error
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Backstop for panics outside run's own recovery (evaluator
-			// construction, point): a panic on a worker goroutine that
-			// escaped would kill the process, not just the call.
-			defer func() {
-				if r := recover(); r != nil {
-					tel.Counter("panic.recovered").Inc()
-					initOnce.Do(func() { initErr = newPanicError(c.Name, "worker setup", r) })
-					failed.Store(true)
-				}
-			}()
-			if busy != nil {
-				t0 := time.Now()
-				defer func() { busy.Add(time.Since(t0)) }()
-			}
+	evs := make([]*Evaluator, resolveWorkers(workers, n))
+	label := func(i int) (string, string) { return c.Name, point(i) }
+	return parallelFor(ctx, workers, n, tel, tel.Timer("eval.worker_busy"), label, func(w, i int) error {
+		if evs[w] == nil {
 			ev, err := NewEvaluatorWindow(c, window)
 			if err != nil {
-				initOnce.Do(func() { initErr = err })
-				failed.Store(true)
-				return
+				return err
 			}
 			ev.attachTelemetry(tel)
 			ev.bindContext(ctx)
-			for !failed.Load() {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := run(ev, i); err != nil {
-					errs[i] = err
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+			evs[w] = ev
 		}
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return initErr
+		return fn(evs[w], i)
+	})
 }
 
 // Table holds, for one core, the best test configuration at every TAM
@@ -239,8 +130,8 @@ func BuildTableContext(ctx context.Context, c *soc.Core, opts TableOptions) (*Ta
 // is accounted, and the build itself is counted.
 func buildTable(ctx context.Context, c *soc.Core, opts TableOptions, tel *telemetry.Sink) (*Table, error) {
 	opts = opts.withDefaults()
-	if opts.MaxWidth < 1 {
-		return nil, fmt.Errorf("core: MaxWidth %d", opts.MaxWidth)
+	if err := CheckTAMWidth(opts.MaxWidth); err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

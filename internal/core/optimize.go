@@ -3,8 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"math"
 	"time"
 
 	"soctap/internal/decomp"
@@ -56,6 +55,23 @@ func ParseStyle(name string) (Style, error) {
 		}
 	}
 	return 0, fmt.Errorf("unknown style %q (want no-tdc, tdc-per-tam, tdc-per-core)", name)
+}
+
+// MaxTAMWidth bounds the total TAM width W_TAM and a table's MaxWidth.
+// Each table holds 4 × (MaxWidth+1) configurations per core and the
+// search a cores × (W_TAM+1) duration matrix, so an unbounded width
+// is an unbounded allocation; 4096 is 64× the widest width any
+// experiment or benchmark uses.
+const MaxTAMWidth = 4096
+
+// CheckTAMWidth rejects a TAM width outside [1, MaxTAMWidth] — the one
+// width check of OptimizeContext, table builds and the socserve
+// request parser.
+func CheckTAMWidth(width int) error {
+	if width < 1 || width > MaxTAMWidth {
+		return fmt.Errorf("core: TAM width %d outside [1, %d]", width, MaxTAMWidth)
+	}
+	return nil
 }
 
 // Options controls the SOC-level optimization.
@@ -165,8 +181,8 @@ func OptimizeContext(ctx context.Context, s *soc.SOC, wtam int, opts Options) (r
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if wtam < 1 {
-		return nil, fmt.Errorf("core: W_TAM = %d", wtam)
+	if err := CheckTAMWidth(wtam); err != nil {
+		return nil, err
 	}
 	if opts.MaxIterations == 0 {
 		opts.MaxIterations = 64
@@ -218,15 +234,20 @@ func OptimizeContext(ctx context.Context, s *soc.SOC, wtam int, opts Options) (r
 	searchTiming := spSearch.Begin()
 	var bestPart tam.Partition
 	bestMk := int64(-1)
-	consider := func(part tam.Partition, mk int64) {
+	consider := func(part tam.Partition, mk int64) error {
 		if !opts.DisableRefinement {
 			rt := spRefine.Begin()
-			part, mk = sctx.refine(part, mk, opts.MaxIterations)
+			var err error
+			part, mk, err = sctx.refine(part, mk, opts.MaxIterations)
 			rt.End()
+			if err != nil {
+				return err
+			}
 		}
 		if bestMk < 0 || mk < bestMk {
 			bestPart, bestMk = part, mk
 		}
+		return nil
 	}
 	// Even splits for every bus count are independent; evaluate the
 	// whole sweep as one batch, then refine in k order.
@@ -239,12 +260,11 @@ func OptimizeContext(ctx context.Context, s *soc.SOC, wtam int, opts Options) (r
 		evens = append(evens, part)
 	}
 	kt := spSearch.Child("k-sweep").Begin()
-	evenMks := sctx.evalBatch(evens)
+	evenMks, err := sctx.evalBatch(evens)
 	kt.End()
-	// Distinguish an aborted search from genuine infeasibility before
-	// interpreting the batch: a cancelled batch leaves non-positive
-	// makespans that mean nothing.
-	if err := sctx.failure(); err != nil {
+	// An aborted batch (error) leaves makespans that mean nothing; only
+	// a complete one tells infeasibility (-1) apart.
+	if err != nil {
 		return nil, err
 	}
 	for k, mk := range evenMks {
@@ -253,10 +273,9 @@ func OptimizeContext(ctx context.Context, s *soc.SOC, wtam int, opts Options) (r
 			_, err := sctx.schedule(evens[k])
 			return nil, fmt.Errorf("core: scheduling %d buses: %w", k+1, err)
 		}
-		consider(evens[k], mk)
-	}
-	if err := sctx.failure(); err != nil {
-		return nil, err
+		if err := consider(evens[k], mk); err != nil {
+			return nil, err
+		}
 	}
 	if opts.MergeSearch {
 		mt := spSearch.Child("merge").Begin()
@@ -265,8 +284,7 @@ func OptimizeContext(ctx context.Context, s *soc.SOC, wtam int, opts Options) (r
 		if err != nil {
 			return nil, err
 		}
-		consider(part, mk)
-		if err := sctx.failure(); err != nil {
+		if err := consider(part, mk); err != nil {
 			return nil, err
 		}
 	}
@@ -298,133 +316,83 @@ func OptimizeContext(ctx context.Context, s *soc.SOC, wtam int, opts Options) (r
 // buildSelectors prepares each core's configuration selector, building
 // the per-core lookup tables concurrently (bounded by opts.Workers).
 // Cache hits go through the singleflight Cache.GetInstrumentedContext,
-// so concurrent optimizer runs sharing a cache never duplicate a build. The first
-// error in core order is returned. Per-core telemetry spans are created
-// under parent on the calling goroutine, in core order, before the
-// fan-out — worker scheduling therefore never changes the span tree.
+// so concurrent optimizer runs sharing a cache never duplicate a build.
+// Per-core telemetry spans are created under parent on the calling
+// goroutine, in core order, before the fan-out — worker scheduling
+// therefore never changes the span tree.
 //
-// Workers stop claiming cores once ctx ends, and a panic during one
-// core's build is contained on that worker as a *PanicError naming the
-// core (the build of the other cores proceeds, matching how other
-// build errors behave).
+// The fan-out is parallelFor's: workers stop claiming cores after the
+// first error or once ctx ends, the error of the lowest-index core is
+// returned, and a panic during one core's build is contained as a
+// *PanicError naming the core.
 func buildSelectors(ctx context.Context, s *soc.SOC, tabOpts TableOptions, opts Options, parent *telemetry.Span) ([]selector, error) {
 	sink := parent.Sink()
 	coreSpans := make([]*telemetry.Span, len(s.Cores))
-	for i, c := range s.Cores {
-		coreSpans[i] = parent.Child("core:" + c.Name)
-	}
-	build := func(i int) (sel selector, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				sink.Counter("panic.recovered").Inc()
-				sel, err = nil, newPanicError(s.Cores[i].Name, "table/selector build", r)
-			}
-		}()
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	if parent != nil { // skip building span names nobody records
+		for i, c := range s.Cores {
+			coreSpans[i] = parent.Child("core:" + c.Name)
 		}
+	}
+	selectors := make([]selector, len(s.Cores))
+	label := func(i int) (string, string) { return s.Cores[i].Name, "table/selector build" }
+	err := parallelFor(ctx, opts.Workers, len(s.Cores), sink, nil, label, func(_, i int) error {
 		ct := coreSpans[i].Begin()
 		defer ct.End()
 		c := s.Cores[i]
 		var t *Table
+		var err error
 		if opts.Cache != nil {
 			t, err = opts.Cache.GetInstrumentedContext(ctx, c, tabOpts, sink)
 		} else {
 			t, err = buildTable(ctx, c, tabOpts, sink)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if opts.EnableDict && opts.Style == StyleTDCPerCore {
 			sel, err := selectTechniquesWithTable(c, t, opts.DictSizes)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			return sel.selector(), nil
+			selectors[i] = sel.selector()
+			return nil
 		}
-		return tableSelector(opts.Style, t), nil
-	}
-
-	selectors := make([]selector, len(s.Cores))
-	workers := resolveWorkers(opts.Workers, len(s.Cores))
-	if workers == 1 {
-		for i := range s.Cores {
-			sel, err := build(i)
-			if err != nil {
-				return nil, err
-			}
-			selectors[i] = sel
-		}
-		return selectors, nil
-	}
-
-	errs := make([]error, len(s.Cores))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(s.Cores) {
-					return
-				}
-				selectors[i], errs[i] = build(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
+		selectors[i] = tableSelector(opts.Style, t)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return selectors, nil
 }
 
 // searchCtx carries the architecture search's shared state: the dense
-// duration matrix and the worker pool configuration. One context spans
-// the whole search of an Optimize call — the k-loop, every refine, and
-// the merge pass.
+// duration matrix and one schedule planner per worker. One context
+// spans the whole search of an Optimize call — the k-loop, every
+// refine, and the merge pass.
 type searchCtx struct {
-	nCores  int
-	wtam    int
-	durMat  []int64 // dur[core*(wtam+1)+width], widths 1..wtam
-	naive   bool
-	workers int
-	// ctx governs the search; check is ctx.Err bound once when ctx is
-	// cancellable (nil otherwise, so Background costs nothing) and is
-	// consulted per candidate schedule through sched.Planner.Check.
-	ctx   context.Context
-	check func() error
-	// panicked/panicMu/panicErr record the first panic contained on a
-	// batch worker (the flag is the lock-free fast-path signal);
-	// failure() surfaces it (or the context error) between search
-	// phases.
-	panicked atomic.Bool
-	panicMu  sync.Mutex
-	panicErr error
-	sink     *telemetry.Sink
-	// durFn is sc.dur bound once, so the hot loops don't allocate a
-	// method value per schedule evaluation.
-	durFn sched.Duration
-	// planner is the calling goroutine's scratch; batch workers get
-	// their own.
-	planner sched.Planner
-
-	// placements is shared by every worker planner (the counter is
-	// atomic).
-	placements *telemetry.Counter
-	// scheduleHist distributes per-placement wall clock; shared by every
-	// worker planner like placements (the histogram is atomic).
-	scheduleHist *telemetry.Histogram
+	nCores int
+	wtam   int
+	durMat []int64 // dur[core*(wtam+1)+width], widths 1..wtam
+	naive  bool
+	// ctx governs the search; cancellable contexts also reach every
+	// planner as sched.Planner.Check, consulted per candidate schedule.
+	ctx  context.Context
+	sink *telemetry.Sink
+	// durFn is sc.dur and evalFn sc.evalCand, each bound once so the
+	// hot loops don't allocate a method value per schedule evaluation
+	// or per batch.
+	durFn  sched.Duration
+	evalFn func(worker, i int) error
+	// planners holds one scratch planner per batch worker; planners[0]
+	// also materializes the winning schedule. They share the
+	// sched.placements counter and sched.schedule_seconds histogram
+	// (both atomic).
+	planners []sched.Planner
+	// cands and mks are the batch in flight: evalBatch sets them for
+	// evalCand.
+	cands []tam.Partition
+	mks   []int64
 }
 
 // newSearchCtx precomputes the dense duration matrix: one flat int64
@@ -432,17 +400,13 @@ type searchCtx struct {
 // closure chain in the scheduler's inner loop with an array load.
 func newSearchCtx(ctx context.Context, s *soc.SOC, wtam int, selectors []selector, opts Options) *searchCtx {
 	sc := &searchCtx{
-		nCores:  len(s.Cores),
-		wtam:    wtam,
-		durMat:  make([]int64, len(s.Cores)*(wtam+1)),
-		naive:   opts.NaiveOrder,
-		workers: opts.Workers,
-		ctx:     ctx,
-		sink:    opts.Telemetry.Sink(),
-	}
-	if ctx.Done() != nil {
-		sc.check = ctx.Err
-		sc.planner.Check = sc.check
+		nCores:   len(s.Cores),
+		wtam:     wtam,
+		durMat:   make([]int64, len(s.Cores)*(wtam+1)),
+		naive:    opts.NaiveOrder,
+		ctx:      ctx,
+		sink:     opts.Telemetry.Sink(),
+		planners: make([]sched.Planner, resolveWorkers(opts.Workers, math.MaxInt)),
 	}
 	for c := range s.Cores {
 		row := sc.durMat[c*(wtam+1) : (c+1)*(wtam+1)]
@@ -453,52 +417,18 @@ func newSearchCtx(ctx context.Context, s *soc.SOC, wtam int, selectors []selecto
 		}
 	}
 	sc.durFn = sc.dur
-	if sink := opts.Telemetry.Sink(); sink != nil {
-		sc.placements = sink.Counter("sched.placements")
-		sc.scheduleHist = sink.Histogram("sched.schedule_seconds")
-		sc.planner.Placements = sc.placements
-		sc.planner.ScheduleSeconds = sc.scheduleHist
+	sc.evalFn = sc.evalCand
+	pl := sched.Planner{
+		Placements:      sc.sink.Counter("sched.placements"),
+		ScheduleSeconds: sc.sink.Histogram("sched.schedule_seconds"),
+	}
+	if ctx.Done() != nil {
+		pl.Check = ctx.Err
+	}
+	for i := range sc.planners {
+		sc.planners[i] = pl
 	}
 	return sc
-}
-
-// notePanic records the first panic contained on a batch worker.
-func (sc *searchCtx) notePanic(r any) {
-	sc.sink.Counter("panic.recovered").Inc()
-	sc.panicMu.Lock()
-	if sc.panicErr == nil {
-		sc.panicErr = newPanicError("", "schedule evaluation", r)
-	}
-	sc.panicMu.Unlock()
-	sc.panicked.Store(true)
-}
-
-// aborted is the lock-free per-candidate abort check of the batch
-// loops: a noted panic or a done context. With a Background context and
-// no panic it is one atomic load.
-func (sc *searchCtx) aborted() bool {
-	if sc.panicked.Load() {
-		return true
-	}
-	return sc.check != nil && sc.check() != nil
-}
-
-// failure returns the error that should abort the search, if any: a
-// contained worker panic first (it is the more specific diagnosis),
-// then the context's cancellation. Optimize consults it between
-// search phases, before interpreting batch results — a cancelled batch
-// leaves non-positive makespans that must not be read as infeasibility.
-func (sc *searchCtx) failure() error {
-	sc.panicMu.Lock()
-	err := sc.panicErr
-	sc.panicMu.Unlock()
-	if err != nil {
-		return err
-	}
-	if sc.check != nil {
-		return sc.check()
-	}
-	return nil
 }
 
 // dur is the scheduler's duration callback over the dense matrix.
@@ -518,9 +448,9 @@ func (sc *searchCtx) dur(core, width int) int64 {
 // for the search winner; the search itself runs on makespans.
 func (sc *searchCtx) schedule(p tam.Partition) (*sched.Schedule, error) {
 	if sc.naive {
-		return sc.planner.InOrder(sc.nCores, p, sc.durFn)
+		return sc.planners[0].InOrder(sc.nCores, p, sc.durFn)
 	}
-	return sc.planner.Greedy(sc.nCores, p, sc.durFn)
+	return sc.planners[0].Greedy(sc.nCores, p, sc.durFn)
 }
 
 // makespan evaluates one partition on the given planner: the schedule's
@@ -540,70 +470,38 @@ func (sc *searchCtx) makespan(p tam.Partition, pl *sched.Planner) int64 {
 }
 
 // evalBatch returns the makespan of every candidate partition (aligned
-// with cands; -1 marks infeasible), fanning the batch out over the
-// worker pool. Each candidate is a pure function of its partition and
+// with cands; -1 marks infeasible), fanning the batch out through
+// parallelFor. Each candidate is a pure function of its partition and
 // is written to an indexed slot, so the result — and every search
 // decision derived from it — is bit-identical for any Workers setting.
-// An aborted search stops early and leaves the unevaluated slots zero;
-// Optimize never reads an aborted batch (see failure()).
-func (sc *searchCtx) evalBatch(cands []tam.Partition) []int64 {
-	out := make([]int64, len(cands))
-	workers := resolveWorkers(sc.workers, len(cands))
-	if workers <= 1 {
-		for i := range cands {
-			if sc.aborted() {
-				break
-			}
-			sc.evalOne(cands[i], &sc.planner, &out[i])
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pl := sched.Planner{Placements: sc.placements, ScheduleSeconds: sc.scheduleHist, Check: sc.check}
-			for !sc.aborted() {
-				i := int(next.Add(1)) - 1
-				if i >= len(cands) {
-					return
-				}
-				sc.evalOne(cands[i], &pl, &out[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return out
+// A non-nil error (a contained panic, or ctx's) means the batch was
+// cut short and its makespans must not be read.
+func (sc *searchCtx) evalBatch(cands []tam.Partition) ([]int64, error) {
+	mks := make([]int64, len(cands))
+	sc.cands, sc.mks = cands, mks
+	err := parallelFor(sc.ctx, len(sc.planners), len(cands), sc.sink, nil, searchLabel, sc.evalFn)
+	return mks, err
 }
 
-// evalOne evaluates one candidate with panic containment: a panic
-// inside the scheduler is noted on the search context instead of
-// unwinding (on a batch worker it would kill the process).
-func (sc *searchCtx) evalOne(p tam.Partition, pl *sched.Planner, out *int64) {
-	defer func() {
-		if r := recover(); r != nil {
-			sc.notePanic(r)
-		}
-	}()
-	*out = sc.makespan(p, pl)
+// evalCand is one task of evalBatch: candidate i on the worker's
+// planner.
+func (sc *searchCtx) evalCand(w, i int) error {
+	sc.mks[i] = sc.makespan(sc.cands[i], &sc.planners[w])
+	return nil
 }
+
+// searchLabel names a contained panic of a search batch.
+func searchLabel(int) (string, string) { return "", "schedule evaluation" }
 
 // refine hill-climbs over single-wire moves between buses, taking the
 // best improving neighbor each round (partitions deduplicated by
 // canonical key). Each round's neighborhood is evaluated as one batch;
 // the reduction scans in the sequential (from, to) order, so the chosen
 // neighbor matches the sequential search exactly.
-func (sc *searchCtx) refine(part tam.Partition, mk int64, maxIter int) (tam.Partition, int64) {
+func (sc *searchCtx) refine(part tam.Partition, mk int64, maxIter int) (tam.Partition, int64, error) {
 	seen := map[string]bool{part.Key(): true}
 	var cands []tam.Partition
 	for iter := 0; iter < maxIter; iter++ {
-		if sc.aborted() {
-			// Results past this point are meaningless; Optimize's
-			// failure() check discards them.
-			return part, mk
-		}
 		cands = cands[:0]
 		for from := range part {
 			for to := range part {
@@ -623,9 +521,12 @@ func (sc *searchCtx) refine(part tam.Partition, mk int64, maxIter int) (tam.Part
 			}
 		}
 		if len(cands) == 0 {
-			return part, mk
+			return part, mk, nil
 		}
-		mks := sc.evalBatch(cands)
+		mks, err := sc.evalBatch(cands)
+		if err != nil {
+			return nil, 0, err
+		}
 		best := -1
 		for i := range cands {
 			if mks[i] <= 0 {
@@ -636,11 +537,11 @@ func (sc *searchCtx) refine(part tam.Partition, mk int64, maxIter int) (tam.Part
 			}
 		}
 		if best < 0 || mks[best] >= mk {
-			return part, mk
+			return part, mk, nil
 		}
 		part, mk = cands[best], mks[best]
 	}
-	return part, mk
+	return part, mk, nil
 }
 
 // mergeSearch runs the bottom-up pass: start from kmax unit-ish buses
@@ -652,10 +553,11 @@ func (sc *searchCtx) mergeSearch(wtam, kmax int) (tam.Partition, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	mk := sc.evalBatch([]tam.Partition{part})[0]
-	if err := sc.failure(); err != nil {
+	mks, err := sc.evalBatch([]tam.Partition{part})
+	if err != nil {
 		return nil, 0, err
 	}
+	mk := mks[0]
 	if mk <= 0 {
 		_, err := sc.schedule(part)
 		return nil, 0, fmt.Errorf("core: merge search seed: %w", err)
@@ -663,9 +565,6 @@ func (sc *searchCtx) mergeSearch(wtam, kmax int) (tam.Partition, int64, error) {
 	bestPart, bestMk := part, mk
 	var cands []tam.Partition
 	for len(part) > 1 {
-		if err := sc.failure(); err != nil {
-			return nil, 0, err
-		}
 		// Widths matter, positions do not: merging bus i into bus j is
 		// characterized by the merged width, so only distinct pairs of
 		// widths need scheduling.
@@ -689,7 +588,10 @@ func (sc *searchCtx) mergeSearch(wtam, kmax int) (tam.Partition, int64, error) {
 				cands = append(cands, merged)
 			}
 		}
-		mks := sc.evalBatch(cands)
+		mks, err := sc.evalBatch(cands)
+		if err != nil {
+			return nil, 0, err
+		}
 		next := -1
 		for i := range cands {
 			if mks[i] <= 0 {

@@ -165,6 +165,32 @@ func TestOptimizeValidation(t *testing.T) {
 	if _, err := Optimize(s, 32, Options{Tables: TableOptions{MaxWidth: 8}}); err == nil {
 		t.Error("tables narrower than W_TAM accepted")
 	}
+	if _, err := Optimize(s, MaxTAMWidth+1, Options{}); err == nil {
+		t.Error("W_TAM above MaxTAMWidth accepted")
+	}
+}
+
+// TestTAMWidthBound: a table's MaxWidth, like W_TAM (see
+// TestOptimizeValidation), is bounded by MaxTAMWidth, so no request can
+// size a table without limit; the bound itself is accepted.
+func TestTAMWidthBound(t *testing.T) {
+	for _, w := range []int{1, 64, MaxTAMWidth} {
+		if err := CheckTAMWidth(w); err != nil {
+			t.Errorf("CheckTAMWidth(%d) = %v, want nil", w, err)
+		}
+	}
+	for _, w := range []int{-1, 0, MaxTAMWidth + 1, 2000000000} {
+		if err := CheckTAMWidth(w); err == nil {
+			t.Errorf("CheckTAMWidth(%d) accepted", w)
+		}
+	}
+	c := compressibleCore(1)
+	if _, err := BuildTableContext(context.Background(), c, TableOptions{MaxWidth: MaxTAMWidth + 1}); err == nil {
+		t.Error("table MaxWidth above MaxTAMWidth accepted")
+	}
+	if _, err := BuildTableContext(context.Background(), c, TableOptions{MaxWidth: MaxTAMWidth}); err != nil {
+		t.Errorf("table MaxWidth %d: %v", MaxTAMWidth, err)
+	}
 }
 
 func TestOptimizeSingleWire(t *testing.T) {

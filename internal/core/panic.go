@@ -1,16 +1,19 @@
 package core
 
 // Panic containment at the core package boundary. The evaluation engine
-// fans work out over worker goroutines (forEachEval, buildSelectors,
-// evalBatch); a panic inside one of those workers — a kernel bug, a
-// malformed core that slipped past validation — would otherwise kill
-// the whole process, and a panic inside a singleflight table build
-// would additionally strand every waiter on the poisoned cache entry.
-// Instead, every worker converts panics into a *PanicError carrying the
-// offending core and (w, m) evaluation point, and the error propagates
-// through the normal error paths (including the singleflight entry,
-// which is evicted so later callers rebuild rather than inherit the
-// failure).
+// fans work out over worker goroutines through one helper, parallelFor
+// (pool.go): the table sweeps, the per-core table builds, the fused
+// pass's window rounds and the search batches. A panic inside one of
+// those tasks — a kernel bug, a malformed core that slipped past
+// validation — would otherwise kill the whole process, and a panic
+// inside a singleflight table build would additionally strand every
+// waiter on the poisoned cache entry. Instead, parallelFor converts
+// every task's panic, on the inline and the pooled path alike, into a
+// *PanicError carrying the offending core and (w, m) evaluation point,
+// and Cache.build does the same for the build it runs; the error
+// propagates through the normal error paths (including the singleflight
+// entry, which is evicted so later callers rebuild rather than inherit
+// the failure).
 
 import (
 	"context"

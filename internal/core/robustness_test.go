@@ -13,12 +13,15 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"soctap/internal/soc"
+	"soctap/internal/telemetry"
 )
 
 // TestCacheGetPanicNoDeadlock is the regression test for the
@@ -148,35 +151,139 @@ func TestCacheDeterministicErrorCached(t *testing.T) {
 	}
 }
 
-// TestForEachEvalPanicContained: a panic in a task body surfaces as a
-// *PanicError naming the core and the evaluation point, on both the
-// sequential and the pooled path — never as a process crash.
-func TestForEachEvalPanicContained(t *testing.T) {
-	c := compressibleCore(24)
-	for _, workers := range []int{1, 4} {
-		err := forEachEval(context.Background(), c, workers, 0, 8, nil,
-			func(i int) string { return fmt.Sprintf("point %d", i) },
-			func(ev *Evaluator, i int) error {
-				if i == 3 {
+// TestParallelFor pins the contract of the package's one worker pool
+// at one, two and eight workers: the lowest-index error wins, a panic
+// becomes a *PanicError naming label(i)'s core and point (never a
+// process crash), a cancelled ctx returns ctx.Err(), one worker runs
+// every task on the calling goroutine in index order, and no goroutine
+// outlives the call.
+func TestParallelFor(t *testing.T) {
+	// Goroutine accounting below needs the test to own the process's
+	// goroutine count; do not mark this test parallel.
+	label := func(i int) (string, string) { return "core7", fmt.Sprintf("point %d", i) }
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			const n = 32
+
+			// Every task runs once, on a worker slot in range.
+			var ran [n]atomic.Int64
+			err := parallelFor(context.Background(), workers, n, nil, nil, label, func(w, i int) error {
+				if w < 0 || w >= resolveWorkers(workers, n) {
+					t.Errorf("task %d on worker %d", i, w)
+				}
+				ran[i].Add(1)
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("clean run: %v", err)
+			}
+			for i := range ran {
+				if got := ran[i].Load(); got != 1 {
+					t.Fatalf("task %d ran %d times, want 1", i, got)
+				}
+			}
+
+			// The lowest-index error wins, even when a higher-index task
+			// fails first: task 3 is slow, task 10 fails at once.
+			err3, err10 := errors.New("task 3"), errors.New("task 10")
+			err = parallelFor(context.Background(), workers, n, nil, nil, label, func(_, i int) error {
+				switch i {
+				case 3:
+					time.Sleep(20 * time.Millisecond)
+					return err3
+				case 10:
+					return err10
+				}
+				return nil
+			})
+			if err != err3 {
+				t.Errorf("error = %v, want the lowest-index error %v", err, err3)
+			}
+
+			// A panic is contained as a *PanicError from label, with the
+			// panicking goroutine's stack, and counted.
+			sink := telemetry.New()
+			err = parallelFor(context.Background(), workers, n, sink, nil, label, func(_, i int) error {
+				if i == 5 {
 					panic("kernel blew up")
 				}
 				return nil
 			})
-		if err == nil {
-			t.Fatalf("workers=%d: panicking task returned nil error", workers)
-		}
-		var pe *PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: error %v is not a *PanicError", workers, err)
-		}
-		if pe.Core != c.Name || pe.Point != "point 3" {
-			t.Errorf("workers=%d: PanicError = (%q, %q), want (%q, %q)",
-				workers, pe.Core, pe.Point, c.Name, "point 3")
-		}
-		if len(pe.Stack) == 0 {
-			t.Errorf("workers=%d: PanicError carries no stack trace", workers)
-		}
+			var pe *PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("panicking task: error %v is not a *PanicError", err)
+			}
+			if pe.Core != "core7" || pe.Point != "point 5" || pe.Value != "kernel blew up" {
+				t.Errorf("PanicError = (%q, %q, %v), want (core7, point 5, kernel blew up)", pe.Core, pe.Point, pe.Value)
+			}
+			if !strings.Contains(string(pe.Stack), "TestParallelFor") {
+				t.Errorf("PanicError stack does not show the panicking task:\n%s", pe.Stack)
+			}
+			if got := sink.Snapshot().Counters["panic.recovered"]; got != 1 {
+				t.Errorf("panic.recovered = %d, want 1", got)
+			}
+
+			// A done ctx stops claiming and returns ctx.Err().
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			var claimed atomic.Int64
+			err = parallelFor(ctx, workers, n, nil, nil, label, func(_, i int) error {
+				claimed.Add(1)
+				return nil
+			})
+			if !errors.Is(err, context.Canceled) || claimed.Load() != 0 {
+				t.Errorf("pre-cancelled: err %v after %d tasks, want context.Canceled after 0", err, claimed.Load())
+			}
+			ctx, cancel = context.WithCancel(context.Background())
+			err = parallelFor(ctx, workers, n, nil, nil, label, func(_, i int) error {
+				if i == 2 {
+					cancel()
+				}
+				return nil
+			})
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("cancelled mid-run: err %v, want context.Canceled", err)
+			}
+
+			// One worker: the calling goroutine, index order.
+			if workers == 1 {
+				caller := goroutineID()
+				var order []int
+				parallelFor(context.Background(), workers, n, nil, nil, label, func(_, i int) error {
+					if id := goroutineID(); id != caller {
+						t.Errorf("task %d ran on goroutine %d, want the caller's %d", i, id, caller)
+					}
+					order = append(order, i)
+					return nil
+				})
+				for i, got := range order {
+					if got != i {
+						t.Fatalf("task order %v, want index order", order)
+					}
+				}
+			}
+
+			// Every worker goroutine is gone once the calls have returned
+			// (they exit just after signalling the wait group, so poll).
+			deadline := time.Now().Add(10 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
+}
+
+// goroutineID parses the running goroutine's id from its stack header.
+func goroutineID() int {
+	var buf [64]byte
+	f := strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))
+	id, _ := strconv.Atoi(f[1])
+	return id
 }
 
 // TestBuildTableContextCancelled: a context cancelled before (or during)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -304,6 +305,9 @@ func (s *Server) parseJob(r *http.Request) (*jobRequest, error) {
 	if req.width <= 0 {
 		return nil, errors.New("width parameter required (total TAM wires, > 0)")
 	}
+	if err := core.CheckTAMWidth(req.width); err != nil {
+		return nil, err
+	}
 
 	req.opts.Style = soctap.StyleTDCPerCore
 	if name := q.Get("style"); name != "" {
@@ -327,14 +331,19 @@ func (s *Server) parseJob(r *http.Request) (*jobRequest, error) {
 	req.opts.EnableDict = q.Get("techsel") == "1" || q.Get("techsel") == "true"
 	req.stream = q.Get("stream") == "1" || q.Get("stream") == "true"
 
-	// Per-job worker bound: the client may only narrow the server's.
+	// Per-job worker bound: the client may only narrow the server's,
+	// which is one worker per CPU when JobWorkers is 0.
 	workers, err := intParam(q.Get("workers"), 0)
 	if err != nil {
 		return nil, fmt.Errorf("workers: %w", err)
 	}
 	req.opts.Workers = s.cfg.JobWorkers
-	if workers > 0 && (s.cfg.JobWorkers <= 0 || workers < s.cfg.JobWorkers) {
-		req.opts.Workers = workers
+	if workers > 0 {
+		limit := s.cfg.JobWorkers
+		if limit <= 0 {
+			limit = runtime.GOMAXPROCS(0)
+		}
+		req.opts.Workers = min(workers, limit)
 	}
 
 	if t := q.Get("timeout"); t != "" {

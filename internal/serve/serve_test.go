@@ -18,6 +18,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"soctap/internal/core"
 )
 
 // tinyDesign is a 3-core SOC that optimizes in single-digit
@@ -130,6 +132,7 @@ func TestOptimizeValidation(t *testing.T) {
 		{"bad kinds", "width=16&kinds=froth", tinyDesign[:200], http.StatusBadRequest},
 		{"eval-window -1", "design=d695&width=16&eval-window=-1", "", http.StatusBadRequest},
 		{"eval-window -2", "design=d695&width=16&eval-window=-2", "", http.StatusBadRequest},
+		{"width over bound", fmt.Sprintf("design=d695&width=%d", core.MaxTAMWidth+1), "", http.StatusBadRequest},
 		{"oversized body", "width=16", tinyDesign, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
@@ -147,9 +150,47 @@ func TestOptimizeValidation(t *testing.T) {
 			t.Errorf("%s: error body not JSON with error field: %s", tc.name, body)
 		}
 	}
-	// Every rejection happens at parse time: no job ran, so none failed.
-	if n := s.Sink().Snapshot().Counters["serve.failed"]; n != 0 {
+	// Every rejection happens at parse time, before admission: each is
+	// one bad request, and no job was admitted, so none failed.
+	sn := s.Sink().Snapshot()
+	if n := sn.Counters["serve.bad_requests"]; n != int64(len(cases)) {
+		t.Errorf("serve.bad_requests = %d, want %d", n, len(cases))
+	}
+	if n := s.jobSeq.Load(); n != 0 {
+		t.Errorf("%d jobs admitted after parse-time rejections, want 0", n)
+	}
+	if n := sn.Counters["serve.failed"]; n != 0 {
 		t.Errorf("serve.failed = %d after parse-time rejections, want 0", n)
+	}
+}
+
+// TestParseJobWorkersCap: ?workers may only narrow the server's bound,
+// which is JobWorkers when set and one worker per CPU when it is 0.
+func TestParseJobWorkersCap(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	cases := []struct {
+		jobWorkers int
+		query      string
+		want       int
+	}{
+		{0, "", 0},
+		{0, "&workers=1", 1},
+		{0, "&workers=64", procs},
+		{0, "&workers=-3", 0},
+		{4, "", 4},
+		{4, "&workers=2", 2},
+		{4, "&workers=64", 4},
+	}
+	for _, tc := range cases {
+		s := New(Config{JobWorkers: tc.jobWorkers})
+		r := httptest.NewRequest(http.MethodPost, "/v1/optimize?design=d695&width=16"+tc.query, nil)
+		req, err := s.parseJob(r)
+		if err != nil {
+			t.Fatalf("JobWorkers %d%s: %v", tc.jobWorkers, tc.query, err)
+		}
+		if req.opts.Workers != tc.want {
+			t.Errorf("JobWorkers %d%s: Workers = %d, want %d", tc.jobWorkers, tc.query, req.opts.Workers, tc.want)
+		}
 	}
 }
 

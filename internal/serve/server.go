@@ -67,7 +67,7 @@ type Config struct {
 	Burst      float64
 	// JobWorkers bounds each job's evaluation-engine parallelism
 	// (soctap Options.Workers; 0 = one per CPU). It also caps the
-	// per-request ?workers override.
+	// per-request ?workers override, at runtime.GOMAXPROCS(0) when 0.
 	JobWorkers int
 	// Cache is the shared table cache; New creates one when nil. Bound
 	// and attach its tiers (SetMemLimit/SetDiskLimit/SetDir) before
